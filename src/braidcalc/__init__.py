@@ -13,7 +13,6 @@ from .census import (
     ConsistencyReport,
     EdgeCensus,
     VertexCensus,
-    compare_complexity,
     edge_vertex_consistency,
     euler_balance_annulus,
     euler_balance_surface,

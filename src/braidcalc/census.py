@@ -26,7 +26,6 @@ __all__ = [
     "euler_balance_annulus",
     "euler_balance_surface",
     "edge_vertex_consistency",
-    "compare_complexity",
     "minimal_complexity_advisory",
     "census_to_json",
     "census_from_json",
@@ -168,15 +167,6 @@ def edge_vertex_consistency(
         a_residual=vc.a_total - ec.ea,
         b_residual=vc.b_total - 2 * ec.eb,
     )
-
-
-def compare_complexity(a: ComplexityTriple, b: ComplexityTriple) -> int:
-    """Lexicographic comparison: -1, 0, or +1."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 def minimal_complexity_advisory(vc: VertexCensus) -> tuple[str, ...]:

@@ -14,6 +14,7 @@ formats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -71,6 +72,16 @@ def _word(text: str) -> BraidWord:
     except WordFormatError as err:
         # the message already carries line and column
         raise _Usage(str(err)) from err
+
+
+@contextlib.contextmanager
+def _document(what: str):
+    # reading or decoding a document from outside the program: any
+    # failure is a usage error (JSONDecodeError is a ValueError)
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+        raise _Usage(f"bad {what}: {err}") from err
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -142,10 +153,8 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_move(args) -> int:
     w = _word(args.word)
-    try:
+    with _document("move document"):
         move = move_from_json(json.loads(args.move))
-    except (ValueError, KeyError, json.JSONDecodeError) as err:
-        raise _Usage(f"bad move document: {err}") from err
     try:
         result = apply_move(w, move)
     except (InvalidSite, PatternMismatch, ValueError) as err:
@@ -155,10 +164,8 @@ def _cmd_move(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    try:
+    with _document("tower file"):
         tower = load_tower(args.tower)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
-        raise _Usage(f"bad tower file: {err}") from err
     report = replay(tower)
     payload = {
         "ok": report.ok,
@@ -190,10 +197,8 @@ def _parse_assignment(pairs: list[str]) -> dict[str, BraidWord]:
 def _template_arg(ref: str):
     # a path wins; otherwise the ref names a catalog entry
     if os.path.exists(ref):
-        try:
+        with _document("template file"):
             return load_template(ref)
-        except (ValueError, KeyError, json.JSONDecodeError) as err:
-            raise _Usage(f"bad template file: {err}") from err
     for template in catalog():
         if template.name == ref:
             return template
@@ -214,6 +219,10 @@ def _cmd_expand(args) -> int:
 
 def _cmd_verify_template(args) -> int:
     template = _template_arg(args.template)
+    if args.samples < 1:
+        raise _Usage(f"bad --samples {args.samples}: need at least 1")
+    if args.max_len < 0:
+        raise _Usage(f"bad --max-len {args.max_len}: need at least 0")
     rng = random.Random(args.seed)
     samples = [
         sample_assignment(template, rng, args.max_len)
@@ -240,15 +249,12 @@ def _cmd_verify_template(args) -> int:
 
 def _cmd_certify(args) -> int:
     if os.path.exists(args.diagram):
-        try:
+        with _document("diagram file"):
             with open(args.diagram, encoding="utf-8") as fh:
                 data = json.load(fh)
             if "plus" in data or "minus" in data:
-                diagram = diagram_from_json(data[args.side])
-            else:
-                diagram = diagram_from_json(data)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
-            raise _Usage(f"bad diagram file: {err}") from err
+                data = data[args.side]
+            diagram = diagram_from_json(data)
     else:
         template = _template_arg(args.diagram)
         diagram = template.plus if args.side == "plus" else template.minus
@@ -271,10 +277,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    try:
+    with _document("census file"):
         vc, ec, chi = census_mod.load_census(args.census)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
-        raise _Usage(f"bad census file: {err}") from err
     annulus = census_mod.euler_balance_annulus(vc, ec.es)
     surface = (
         None if chi is None else census_mod.euler_balance_surface(vc, chi)

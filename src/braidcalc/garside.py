@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .words import (
     BraidWord,
     concat,
+    cycle_type,
     exponent_sum,
     free_reduce,
     inverse,
@@ -314,7 +315,7 @@ def conjugacy_test(
         raise ValueError(f"strand counts differ: {u.index} versus {v.index}")
     if exponent_sum(u) != exponent_sum(v):
         return ConjugacyReport(Verdict.NOT_CONJUGATE, 0)
-    if _cycle_type(u) != _cycle_type(v):
+    if cycle_type(permutation(u)) != cycle_type(permutation(v)):
         return ConjugacyReport(Verdict.NOT_CONJUGATE, 0)
 
     nu = _summit_representative(normal_form(u))
@@ -343,19 +344,3 @@ def conjugacy_test(
         frontier = next_frontier
     return ConjugacyReport(Verdict.NOT_CONJUGATE, len(seen))
 
-
-def _cycle_type(w: BraidWord) -> tuple[int, ...]:
-    perm = permutation(w)
-    seen = [False] * len(perm)
-    sizes = []
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        size = 0
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            size += 1
-            t = perm[t] - 1
-        sizes.append(size)
-    return tuple(sorted(sizes))

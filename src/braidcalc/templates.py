@@ -14,11 +14,11 @@ A template pairs two diagrams over the same block names.  A template
 is the assertion that for every assignment the two expansions close to
 the same link; ``verify_template`` samples assignments and compares
 closure fingerprints, which can refute an encoding but never certify
-it.  The shipped catalog covers destabilization, the exchange move in
-weight one and weighted form, the three strand flype, microflypes, a
-four block necklace that cyclically permutes its blocks, and two six
-strand examples whose two sides differ by sliding a strand bundle
-across interior blocks.
+it.  The catalog, built by the ``make_*`` constructors below, covers
+destabilization, the exchange move in weight one and weighted form,
+the three strand flype, microflypes, a four block necklace that
+cyclically permutes its blocks, and two six strand examples whose two
+sides differ by sliding a strand bundle across interior blocks.
 
 ``sigma_budget`` counts the top generator letters a diagram can emit
 outside its blocks.  Since blocks seated away from the last strand
@@ -33,7 +33,6 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .invariants import fingerprint
@@ -60,7 +59,6 @@ __all__ = [
     "non_carry_certificate",
     "make_destabilize",
     "make_exchange",
-    "make_flype3",
     "make_flype",
     "make_microflype",
     "make_cyclic",
@@ -122,6 +120,26 @@ class BlockRef:
 DiagramEntry = Band | BlockRef
 
 
+def _walk(weights, entries):
+    """Yield ``(entry, flow, base)`` for each entry, top to bottom.
+
+    ``flow`` is the list of slot weights entering the entry and ``base``
+    is the first strand of its slot ``pos``.  A band's two slots swap
+    only when the caller resumes the walk, so a caller can check the
+    band's slot before the swap reads it.  The same list is yielded
+    every time; copy what must outlive the step.
+    """
+
+    flow = list(weights)
+    for entry in entries:
+        if not isinstance(entry, (Band, BlockRef)):
+            raise TypeError(f"not a diagram entry: {entry!r}")
+        yield entry, flow, 1 + sum(flow[: entry.pos - 1])
+        if isinstance(entry, Band):
+            i = entry.pos
+            flow[i - 1], flow[i] = flow[i], flow[i - 1]
+
+
 @dataclass(frozen=True)
 class BlockStrandDiagram:
     """Weighted strands plus an ordered sequence of bands and blocks.
@@ -148,17 +166,13 @@ class BlockStrandDiagram:
                 f"weights {weights} sum to {sum(weights)}, index is {index}"
             )
         slots = len(weights)
-        flow = list(weights)
-        for entry in entries:
+        for entry, flow, _ in _walk(weights, entries):
             if isinstance(entry, Band):
                 if entry.sign not in (1, -1):
                     raise ValueError(f"band sign must be +1 or -1: {entry}")
                 if not 1 <= entry.pos <= slots - 1:
                     raise ValueError(f"band slot out of range: {entry}")
-                a = flow[entry.pos - 1]
-                flow[entry.pos - 1] = flow[entry.pos]
-                flow[entry.pos] = a
-            elif isinstance(entry, BlockRef):
+            else:
                 if entry.span < 1:
                     raise ValueError(f"block span must be >= 1: {entry}")
                 if not 1 <= entry.pos <= slots - entry.span + 1:
@@ -175,8 +189,6 @@ class BlockStrandDiagram:
                         " strands; only post-destabilization diagrams allow"
                         " a full-width block"
                     )
-            else:
-                raise TypeError(f"not a diagram entry: {entry!r}")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "entries", entries)
@@ -201,16 +213,12 @@ class BlockStrandDiagram:
         """Band letters between blocks: the fixed inter-block words."""
         segments: list[tuple[int, ...]] = []
         current: list[int] = []
-        flow = list(self.weights)
-        for entry in self.entries:
+        for entry, flow, base in _walk(self.weights, self.entries):
             if isinstance(entry, Band):
-                a = flow[entry.pos - 1]
-                b = flow[entry.pos]
-                p = 1 + sum(flow[: entry.pos - 1])
+                a, b = flow[entry.pos - 1], flow[entry.pos]
                 current.extend(
-                    band_expand(a, b, p, entry.sign, self.index).letters
+                    band_expand(a, b, base, entry.sign, self.index).letters
                 )
-                flow[entry.pos - 1], flow[entry.pos] = b, a
             else:
                 segments.append(tuple(current))
                 current = []
@@ -283,14 +291,11 @@ def expand(d: BlockStrandDiagram, asg: Assignment) -> BraidWord:
     if missing:
         raise CoverageError(f"assignment misses blocks: {missing}")
     n = d.index
-    flow = list(d.weights)
     letters: list[int] = []
-    for entry in d.entries:
+    for entry, flow, base in _walk(d.weights, d.entries):
         if isinstance(entry, Band):
             a, b = flow[entry.pos - 1], flow[entry.pos]
-            p = 1 + sum(flow[: entry.pos - 1])
-            letters.extend(band_expand(a, b, p, entry.sign, n).letters)
-            flow[entry.pos - 1], flow[entry.pos] = b, a
+            letters.extend(band_expand(a, b, base, entry.sign, n).letters)
         else:
             word = asg[entry.id]
             if word.index != entry.span:
@@ -300,7 +305,6 @@ def expand(d: BlockStrandDiagram, asg: Assignment) -> BraidWord:
                 )
             entering = flow[entry.pos - 1 : entry.pos - 1 + entry.span]
             cables = list(entering)
-            base = 1 + sum(flow[: entry.pos - 1])
             for g in word.letters:
                 j = abs(g)
                 sign = 1 if g > 0 else -1
@@ -315,24 +319,6 @@ def expand(d: BlockStrandDiagram, asg: Assignment) -> BraidWord:
                     f" leave as {cables}"
                 )
     return BraidWord(n, letters)
-
-
-def _block_cable_vectors(
-    d: BlockStrandDiagram,
-) -> dict[str, list[tuple[int, ...]]]:
-    # entering cable weights of every block occurrence, in flow order
-    out: dict[str, list[tuple[int, ...]]] = {}
-    flow = list(d.weights)
-    for entry in d.entries:
-        if isinstance(entry, Band):
-            flow[entry.pos - 1], flow[entry.pos] = (
-                flow[entry.pos],
-                flow[entry.pos - 1],
-            )
-        else:
-            vec = tuple(flow[entry.pos - 1 : entry.pos - 1 + entry.span])
-            out.setdefault(entry.id, []).append(vec)
-    return out
 
 
 def _preserves_vector(letters: tuple[int, ...], vec: tuple[int, ...]) -> bool:
@@ -353,10 +339,13 @@ def sample_assignment(
     weight order are redrawn.
     """
 
+    # entering cable weights of every block occurrence on either side
     constraints: dict[str, list[tuple[int, ...]]] = {}
     for diagram in (t.plus, t.minus):
-        for name, vectors in _block_cable_vectors(diagram).items():
-            constraints.setdefault(name, []).extend(vectors)
+        for entry, flow, _ in _walk(diagram.weights, diagram.entries):
+            if isinstance(entry, BlockRef):
+                vec = tuple(flow[entry.pos - 1 : entry.pos - 1 + entry.span])
+                constraints.setdefault(entry.id, []).append(vec)
     asg: Assignment = {}
     for name, span in sorted(t.blocks.items()):
         choices = [g for g in range(-(span - 1), span) if g != 0]
@@ -439,15 +428,8 @@ def sigma_budget(d: BlockStrandDiagram) -> int:
     count of letters ``n - 1`` in any expansion of the diagram.
     """
 
-    flow = list(d.weights)
-    for entry in d.entries:
-        if isinstance(entry, Band):
-            flow[entry.pos - 1], flow[entry.pos] = (
-                flow[entry.pos],
-                flow[entry.pos - 1],
-            )
-        else:
-            base = 1 + sum(flow[: entry.pos - 1])
+    for entry, flow, base in _walk(d.weights, d.entries):
+        if isinstance(entry, BlockRef):
             total = sum(flow[entry.pos - 1 : entry.pos - 1 + entry.span])
             if base + total - 1 >= d.index:
                 raise BlockOnLastStrand(
@@ -508,27 +490,12 @@ def make_exchange(w: int = 1) -> Template:
     return Template(name, side(1), side(-1))
 
 
-def make_flype3(eps: int) -> Template:
-    """The three strand flype with moving block ``R``."""
-    name = "flype3_pos" if eps > 0 else "flype3_neg"
-    plus = BlockStrandDiagram(
-        3,
-        (1, 1, 1),
-        (BlockRef("P", 2), BlockRef("R", 2, 2), BlockRef("Q", 2), Band(2, eps)),
-    )
-    minus = BlockStrandDiagram(
-        3,
-        (1, 1, 1),
-        (BlockRef("P", 2), Band(2, eps), BlockRef("Q", 2), BlockRef("R", 2, 2)),
-    )
-    return Template(name, plus, minus)
-
-
 def make_flype(eps: int, w: int, k: int, wp: int, kp: int) -> Template:
     """The weighted flype family; requires ``w + wp == k + kp``.
 
-    The index delta of the two sides is ``wp - k``; the shipped catalog
-    carries only the unit instances, whose links agree for every
+    The index delta of the two sides is ``wp - k``; the catalog carries
+    only the unit instances, the three strand flypes ``flype3_pos`` and
+    ``flype3_neg`` with moving block ``R``, whose links agree for every
     assignment, while the weighted family is exposed for its arithmetic.
     """
 
@@ -537,7 +504,8 @@ def make_flype(eps: int, w: int, k: int, wp: int, kp: int) -> Template:
             f"inconsistent weights: {w}+{wp} != {k}+{kp}"
         )
     tag = "pos" if eps > 0 else "neg"
-    name = f"flype_{tag}_{w}{k}{wp}{kp}"
+    unit = (w, k, wp, kp) == (1, 1, 1, 1)
+    name = f"flype3_{tag}" if unit else f"flype_{tag}_{w}{k}{wp}{kp}"
     plus = BlockStrandDiagram(
         1 + w + wp,
         (1, w, wp),
@@ -639,15 +607,15 @@ def make_gexchange6() -> Template:
 
 
 def builtin_templates() -> list[Template]:
-    """The canonical constructions behind the shipped catalog files."""
+    """The catalog templates, built by their constructors."""
     return [
         make_cyclic(4),
         make_destabilize(-1),
         make_destabilize(1),
         make_exchange(1),
         make_exchange(2),
-        make_flype3(-1),
-        make_flype3(1),
+        make_flype(-1, 1, 1, 1, 1),
+        make_flype(1, 1, 1, 1, 1),
         make_gexchange6(),
         make_gflype6(),
         make_microflype(-1, -1),
@@ -727,24 +695,20 @@ def load_template(path) -> Template:
 
 
 def catalog(directory=None) -> list[Template]:
-    """Load the shipped templates, sorted by name.
+    """The template catalog.
 
-    ``directory`` overrides the source; otherwise the environment
-    variable ``BRAID_TEMPLATE_DIR`` does; otherwise the data files
-    packaged with this module are used.
+    ``directory`` overrides the source with the ``*.json`` template
+    files in it, sorted by file name; otherwise the environment variable
+    ``BRAID_TEMPLATE_DIR`` does; otherwise the catalog is
+    :func:`builtin_templates`, sorted by name.
     """
 
     if directory is None:
         directory = os.environ.get(TEMPLATE_DIR_ENV)
-    if directory is not None:
-        paths = sorted(Path(directory).glob("*.json"))
-        return [load_template(p) for p in paths]
-    root = resources.files(__package__) / "templates"
-    out = []
-    for item in sorted(root.iterdir(), key=lambda i: i.name):
-        if item.name.endswith(".json"):
-            out.append(template_from_json(json.loads(item.read_text())))
-    return out
+    if directory is None:
+        return sorted(builtin_templates(), key=lambda t: t.name)
+    paths = sorted(Path(directory).glob("*.json"))
+    return [load_template(p) for p in paths]
 
 
 def _segment_tower(segments: list[BraidWord], sign: int) -> Tower:

@@ -24,12 +24,10 @@ __all__ = [
     "rotate",
     "conjugate",
     "permutation",
-    "cycle_count",
+    "cycle_type",
     "exponent_sum",
     "closure_components",
-    "writhe_on_generator",
     "cyclic_reduce",
-    "cyclic_rotations",
 ]
 
 
@@ -220,19 +218,21 @@ def permutation(w: BraidWord) -> tuple[int, ...]:
     return tuple(images)
 
 
-def cycle_count(perm: tuple[int, ...]) -> int:
-    """Number of cycles of a permutation given as a tuple of images."""
+def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Sorted cycle lengths of a permutation given as a tuple of images."""
     seen = [False] * len(perm)
-    cycles = 0
+    sizes = []
     for s in range(len(perm)):
         if seen[s]:
             continue
-        cycles += 1
+        size = 0
         t = s
         while not seen[t]:
             seen[t] = True
+            size += 1
             t = perm[t] - 1
-    return cycles
+        sizes.append(size)
+    return tuple(sorted(sizes))
 
 
 def exponent_sum(w: BraidWord) -> int:
@@ -242,12 +242,7 @@ def exponent_sum(w: BraidWord) -> int:
 
 def closure_components(w: BraidWord) -> int:
     """Number of link components of the word's closure."""
-    return cycle_count(permutation(w))
-
-
-def writhe_on_generator(w: BraidWord, i: int) -> int:
-    """Signed count of the letters ``+i`` and ``-i``."""
-    return sum(1 if g == i else -1 for g in w.letters if abs(g) == i)
+    return len(cycle_type(permutation(w)))
 
 
 def cyclic_reduce(w: BraidWord) -> BraidWord:
@@ -257,8 +252,3 @@ def cyclic_reduce(w: BraidWord) -> BraidWord:
     while len(letters) >= 2 and letters[0] == -letters[-1]:
         letters = letters[1:-1]
     return BraidWord(w.index, letters)
-
-
-def cyclic_rotations(w: BraidWord) -> list[BraidWord]:
-    """All rotations of the word, the word itself first."""
-    return [rotate(w, k) for k in range(max(1, len(w.letters)))]

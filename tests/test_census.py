@@ -12,7 +12,6 @@ from braidcalc.census import (
     VertexCensus,
     census_from_json,
     census_to_json,
-    compare_complexity,
     edge_vertex_consistency,
     euler_balance_annulus,
     euler_balance_surface,
@@ -80,15 +79,10 @@ def test_edge_vertex_consistency():
 
 
 def test_compare_complexity():
-    assert compare_complexity(
-        ComplexityTriple(3, 0, 5), ComplexityTriple(3, 1, 0)
-    ) == -1
-    assert compare_complexity(
-        ComplexityTriple(4, 0, 0), ComplexityTriple(3, 9, 9)
-    ) == 1
-    assert compare_complexity(
-        ComplexityTriple(2, 2, 2), ComplexityTriple(2, 2, 2)
-    ) == 0
+    # the dataclass ordering is lexicographic: index first, then finer
+    assert ComplexityTriple(3, 0, 5) < ComplexityTriple(3, 1, 0)
+    assert ComplexityTriple(4, 0, 0) > ComplexityTriple(3, 9, 9)
+    assert ComplexityTriple(2, 2, 2) == ComplexityTriple(2, 2, 2)
     assert ComplexityTriple(1, 0, 0) < ComplexityTriple(1, 0, 1)
     with pytest.raises(ValueError):
         ComplexityTriple(-1, 0, 0)
@@ -153,9 +147,9 @@ def test_annulus_residual_matches_direct_sum(entries, es):
 def test_compare_complexity_total_order(xs, ys):
     a = ComplexityTriple(len(xs), sum(e[2] for e in xs), 0)
     b = ComplexityTriple(len(ys), sum(e[2] for e in ys), 0)
-    cmp = compare_complexity(a, b)
-    assert cmp in (-1, 0, 1)
+    # exactly one of <, ==, > holds
+    assert (a < b) + (a == b) + (a > b) == 1
     if (a.c0, a.c1, a.c2) == (b.c0, b.c1, b.c2):
-        assert cmp == 0
+        assert a == b
     if a.c0 <= b.c0 and a.c1 <= b.c1 and a.c2 <= b.c2:
-        assert cmp <= 0
+        assert not a > b

@@ -244,3 +244,42 @@ def test_reduce_rejects_bad_budget(capsys):
     capsys.readouterr()
     code, _, err = run(capsys, "reduce", "3: 1", "--max-index", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-template", "{dir}"],
+        ["expand", "{dir}"],
+        ["expand", "{list}"],
+        ["certify", "{list}", "--min-last-count", "1"],
+        ["replay", "{list}"],
+        ["census", "{list}"],
+        ["move", "2: 1", "[]"],
+        ["move", "2: 1", "5"],
+        ["verify-template", "exchange_w1", "--samples", "0"],
+        ["verify-template", "exchange_w1", "--max-len", "-1"],
+    ],
+    ids=[
+        "verify-template-dir",
+        "expand-dir",
+        "template-list",
+        "diagram-list",
+        "tower-list",
+        "census-list",
+        "move-list",
+        "move-int",
+        "samples-0",
+        "max-len-negative",
+    ],
+)
+def test_bad_input_exits_2(tmp_path, capsys, argv):
+    # {dir} is a directory where a file is expected; {list} is a JSON
+    # file holding a list where an object is expected
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    argv = [a.format(dir=tmp_path, list=listed) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: bad ")
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
-"""Block-strand diagrams, template expansion, the shipped catalog."""
+"""Block-strand diagrams, template expansion, the catalog."""
 
+import hashlib
 import json
 import random
 
@@ -31,7 +32,6 @@ from braidcalc.templates import (
     make_destabilize,
     make_exchange,
     make_flype,
-    make_flype3,
     make_microflype,
     non_carry_certificate,
     sample_assignment,
@@ -252,10 +252,12 @@ def test_builtin_catalog_names():
     assert shipped == CATALOG_NAMES
 
 
-def test_catalog_files_match_builders():
-    built = {t.name: t for t in builtin_templates()}
-    for t in catalog():
-        assert t == built[t.name]
+def test_catalog_content_is_pinned():
+    # any change to what the constructors build changes this digest
+    doc = json.dumps([template_to_json(t) for t in catalog()], sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "67398d5f46559d0275fcbbc0cb276ad0b432dcfc13f3b69a54a15907cad34ebb"
+    )
 
 
 def test_catalog_directory_override(tmp_path, monkeypatch):
@@ -294,7 +296,7 @@ def test_diagram_json_round_trip():
 
 
 def test_template_json_round_trip(tmp_path):
-    t = make_flype3(-1)
+    t = make_flype(-1, 1, 1, 1, 1)
     data = json.loads(json.dumps(template_to_json(t)))
     assert template_from_json(data) == t
     path = tmp_path / "t.json"

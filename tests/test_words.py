@@ -8,9 +8,8 @@ from braidcalc.words import (
     closure_components,
     concat,
     conjugate,
-    cycle_count,
+    cycle_type,
     cyclic_reduce,
-    cyclic_rotations,
     exponent_sum,
     format_word,
     free_reduce,
@@ -19,7 +18,6 @@ from braidcalc.words import (
     permutation,
     power,
     rotate,
-    writhe_on_generator,
 )
 
 
@@ -121,8 +119,9 @@ def test_permutation_convention():
 
 
 def test_cycle_count_and_components():
-    assert cycle_count((1, 2, 3)) == 3
-    assert cycle_count((2, 3, 1)) == 1
+    assert cycle_type((1, 2, 3)) == (1, 1, 1)
+    assert cycle_type((2, 3, 1)) == (3,)
+    assert cycle_type((3, 4, 1, 2, 5)) == (1, 2, 2)
     assert closure_components(BraidWord(2, (1,))) == 1
     assert closure_components(BraidWord(2, (1, 1))) == 2
     assert closure_components(BraidWord(3, (1, 2))) == 1
@@ -132,9 +131,6 @@ def test_cycle_count_and_components():
 def test_exponent_sum_and_writhe():
     w = BraidWord(3, (1, 1, -2, 1))
     assert exponent_sum(w) == 2
-    assert writhe_on_generator(w, 1) == 3
-    assert writhe_on_generator(w, 2) == -1
-    assert writhe_on_generator(w, 5) == 0
 
 
 def test_cyclic_reduce_trims_the_seam():
@@ -144,11 +140,3 @@ def test_cyclic_reduce_trims_the_seam():
     w = BraidWord(3, (1, 2))
     assert cyclic_reduce(w) == w
 
-
-def test_cyclic_rotations():
-    w = BraidWord(3, (1, 2, -1))
-    rots = cyclic_rotations(w)
-    assert rots[0] == w
-    assert len(rots) == 3
-    assert BraidWord(3, (2, -1, 1)) in rots
-    assert cyclic_rotations(BraidWord(3, ())) == [BraidWord(3, ())]
