@@ -8,6 +8,14 @@ the full half twist.  Permutation braids are stored as their endpoint
 permutations and all factor arithmetic happens on permutations, so no
 precomputed tables are needed and any strand count works.
 
+The normal form takes one pass over the word.  A negative letter is
+``D^-1 (D sigma_g^-1)``; moving every ``D^-1`` to the front flips each
+earlier factor by ``D``, so a factor is flipped when an odd number of
+negative letters follow it.  Factors are appended one at a time and a
+right-to-left pass restores left weighting, stopping at the first pair
+already left weighted (Epstein et al., *Word Processing in Groups*,
+1992, ch. 9; Elrifai and Morton, Quart. J. Math. 45, 1994).
+
 Conjugacy is decided through super summit sets: cycling raises the
 infimum to its conjugacy maximum, decycling lowers the supremum to its
 minimum, and the set of all conjugates with those extremal values is
@@ -20,6 +28,7 @@ if the cap is exceeded.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -49,6 +58,7 @@ __all__ = [
 DEFAULT_NODE_CAP = 10_000
 
 Perm = tuple[int, ...]
+Entry = tuple[Perm, int, int]  # permutation, left/right-divisor masks
 
 
 def _identity(n: int) -> Perm:
@@ -77,21 +87,9 @@ def _inv(p: Perm) -> Perm:
     return tuple(out)
 
 
-def _flip(p: Perm) -> Perm:
-    # conjugation by the half twist
-    w0 = _half_twist(len(p))
-    return _mul(w0, _mul(p, w0))
-
-
-def _starting(p: Perm) -> set[int]:
-    # i such that sigma_i is a left divisor of the permutation braid
-    inv = _inv(p)
-    return {i for i in range(1, len(p)) if inv[i - 1] > inv[i]}
-
-
-def _finishing(p: Perm) -> set[int]:
-    # i such that sigma_i is a right divisor
-    return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
+def _descents(p: Perm) -> int:
+    # bit i: sigma_i right-divides p (of the inverse: left-divides p)
+    return sum(1 << i for i in range(1, len(p)) if p[i - 1] > p[i])
 
 
 def factor_word(p: Perm) -> tuple[int, ...]:
@@ -144,50 +142,55 @@ class NormalForm:
 
 
 def normal_form(w: BraidWord) -> NormalForm:
-    """Compute the left normal form of a braid word."""
+    """Compute the left normal form of a braid word.
+
+    The power is minus the number of negative letters; a letter's factor
+    is flipped when the negative letters after it are odd in number.
+    Each pass back from a new factor stops at the first pair already
+    left weighted, one mask test on the factors' divisor bitmasks.
+    """
     n = w.index
     w0 = _half_twist(n)
-    power = 0
-    factors: list[Perm] = []
+    negatives = after = sum(g < 0 for g in w.letters)
+    factors: list[Entry] = []
+    weigh = functools.lru_cache(1024)(_weigh)  # pairs recur in one word
     for g in w.letters:
-        if g > 0:
-            factors.append(_tau(g, n))
-        else:
-            # sigma_g^-1 = D^-1 (D sigma_g^-1); push D^-1 to the front
-            factors = [_flip(f) for f in factors]
-            power -= 1
-            factors.append(_mul(w0, _tau(-g, n)))
-    factors = _left_weight(factors, n)
-    while factors and factors[0] == w0:
-        factors.pop(0)
-        power += 1
-    return NormalForm(n, power, tuple(factors))
+        after -= g < 0
+        f = _tau(n - abs(g) if after % 2 else abs(g), n)
+        f = _mul(w0, f) if g < 0 else f
+        fin = _descents(f)
+        if not fin:
+            continue  # sigma_1^-1 on two strands is D^-1 itself
+        factors.append((f, _descents(_inv(f)), fin))
+        j = len(factors) - 1
+        while j and factors[j][1] & ~factors[j - 1][2]:
+            factors[j - 1], factors[j] = weigh(factors[j - 1], factors[j])
+            j -= 1
+        while factors and not factors[-1][2]:
+            factors.pop()
+    lead = sum(f == w0 for f, _, _ in factors)  # every D comes first
+    rest = tuple(f for f, _, _ in factors[lead:])
+    return NormalForm(n, lead - negatives, rest)
 
 
-def _left_weight(factors: list[Perm], n: int) -> list[Perm]:
-    identity = _identity(n)
-    factors = [f for f in factors if f != identity]
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(factors) - 1):
-            x, y = factors[j], factors[j + 1]
-            moved = False
-            while True:
-                pending = _starting(y) - _finishing(x)
-                if not pending:
-                    break
-                i = min(pending)
-                t = _tau(i, n)
-                x = _mul(x, t)
-                y = _mul(t, y)
-                moved = True
-            if moved:
-                factors[j], factors[j + 1] = x, y
-                changed = True
-        if changed:
-            factors = [f for f in factors if f != identity]
-    return factors
+def _weigh(left: Entry, right: Entry) -> tuple[Entry, Entry]:
+    # move generators from the front of right to the back of left until
+    # the pair is left weighted; a move swaps two entries, updates 3 bits
+    x, _, fin = left
+    y, start, _ = right
+    x, yi = list(x), list(_inv(y))
+    pending = start & ~fin
+    while pending:
+        i = (pending & -pending).bit_length() - 1
+        x[i - 1], x[i] = x[i], x[i - 1]
+        yi[i - 1], yi[i] = yi[i], yi[i - 1]
+        for k in range(max(i - 1, 1), min(i + 2, len(x))):
+            bit = 1 << k
+            fin = fin | bit if x[k - 1] > x[k] else fin & ~bit
+            start = start | bit if yi[k - 1] > yi[k] else start & ~bit
+        pending = start & ~fin
+    x, y = tuple(x), _inv(yi)
+    return (x, _descents(_inv(x)), fin), (y, start, _descents(y))
 
 
 def normal_form_word(nf: NormalForm) -> BraidWord:
@@ -288,11 +291,8 @@ def _summit_representative(x: NormalForm) -> NormalForm:
 
 
 def _all_simples(n: int) -> list[Perm]:
-    return [
-        p
-        for p in itertools.permutations(range(1, n + 1))
-        if p != _identity(n)
-    ]
+    identity = _identity(n)
+    return [p for p in itertools.permutations(identity) if p != identity]
 
 
 def conjugacy_test(

@@ -6,10 +6,13 @@ whose interior uses only generators of higher index.  Reducing the
 leftmost-ending handle first guarantees the interior contains no
 complete handle of its own, and iterated reduction always terminates
 on a handle-free word, which represents the trivial braid only when
-empty.
+empty.  ``equal_twin`` supplies the equal side of such cross-checks: a
+respelling of a word through sound rewrites only.
 """
 
 from __future__ import annotations
+
+from braidcalc.words import BraidWord
 
 
 def _leftmost_handle(word: list[int]) -> tuple[int, int] | None:
@@ -57,3 +60,36 @@ def handle_free_form(letters) -> tuple[int, ...]:
 def is_trivial_word(letters) -> bool:
     """True when the letters spell the identity braid."""
     return handle_free_form(letters) == ()
+
+
+def equal_twin(rng, w, edits):
+    """A different spelling of the same braid, by sound rewrites only."""
+    letters = list(w.letters)
+    for _ in range(edits):
+        op = rng.randrange(3)
+        if op == 0 and len(letters) <= 10:
+            g = rng.choice((1, -1)) * rng.randint(1, w.index - 1)
+            at = rng.randint(0, len(letters))
+            letters[at:at] = [g, -g]
+        elif op == 1:
+            spots = [
+                i
+                for i in range(len(letters) - 1)
+                if abs(abs(letters[i]) - abs(letters[i + 1])) >= 2
+            ]
+            if spots:
+                i = rng.choice(spots)
+                letters[i], letters[i + 1] = letters[i + 1], letters[i]
+        else:
+            spots = [
+                i
+                for i in range(len(letters) - 2)
+                if letters[i] == letters[i + 2]
+                and letters[i] * letters[i + 1] > 0
+                and abs(abs(letters[i]) - abs(letters[i + 1])) == 1
+            ]
+            if spots:
+                i = rng.choice(spots)
+                a, b = letters[i], letters[i + 1]
+                letters[i : i + 3] = [b, a, b]
+    return BraidWord(w.index, tuple(letters))

@@ -10,7 +10,7 @@ message says which guarantee broke and on what instance.
 import random
 import time
 
-from _handles import is_trivial_word
+from _handles import equal_twin, is_trivial_word
 
 from braidcalc.census import (
     EdgeCensus,
@@ -63,39 +63,6 @@ def _random_word(rng, n, max_len):
     return BraidWord(n, letters)
 
 
-def _equal_twin(rng, w, edits):
-    """A different spelling of the same braid, by sound rewrites only."""
-    letters = list(w.letters)
-    for _ in range(edits):
-        op = rng.randrange(3)
-        if op == 0 and len(letters) <= 10:
-            g = rng.choice((1, -1)) * rng.randint(1, w.index - 1)
-            at = rng.randint(0, len(letters))
-            letters[at:at] = [g, -g]
-        elif op == 1:
-            spots = [
-                i
-                for i in range(len(letters) - 1)
-                if abs(abs(letters[i]) - abs(letters[i + 1])) >= 2
-            ]
-            if spots:
-                i = rng.choice(spots)
-                letters[i], letters[i + 1] = letters[i + 1], letters[i]
-        else:
-            spots = [
-                i
-                for i in range(len(letters) - 2)
-                if letters[i] == letters[i + 2]
-                and letters[i] * letters[i + 1] > 0
-                and abs(abs(letters[i]) - abs(letters[i + 1])) == 1
-            ]
-            if spots:
-                i = rng.choice(spots)
-                a, b = letters[i], letters[i + 1]
-                letters[i : i + 3] = [b, a, b]
-    return BraidWord(w.index, tuple(letters))
-
-
 def test_criterion_01_word_problem_matches_handle_reduction():
     start = time.monotonic()
     for n in range(2, 7):
@@ -111,7 +78,7 @@ def test_criterion_01_word_problem_matches_handle_reduction():
         n = rng.randint(2, 5)
         u = _random_word(rng, n, 8 if trial % 2 == 0 else 12)
         if trial % 2 == 0:
-            v = _equal_twin(rng, u, rng.randint(1, 2))
+            v = equal_twin(rng, u, rng.randint(1, 2))
         else:
             v = _random_word(rng, n, 12)
         got = words_equal(u, v)

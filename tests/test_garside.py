@@ -1,6 +1,10 @@
 """Normal forms and the conjugacy oracle."""
 
+import time
+
+import _garside_oracle as oracle
 import pytest
+from _handles import equal_twin, is_trivial_word
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,17 +18,26 @@ from braidcalc.garside import (
     normal_form_word,
     words_equal,
 )
-from braidcalc.words import BraidWord, concat, conjugate, free_reduce, inverse
+from braidcalc.words import (
+    BraidWord,
+    concat,
+    conjugate,
+    free_reduce,
+    inverse,
+    parse_word,
+)
+
+
+def letters(n, max_len):
+    return st.lists(
+        st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+        max_size=max_len,
+    )
 
 
 def words(max_index=5, max_len=12):
     return st.integers(2, max_index).flatmap(
-        lambda n: st.lists(
-            st.integers(1, n - 1).flatmap(
-                lambda g: st.sampled_from((g, -g))
-            ),
-            max_size=max_len,
-        ).map(lambda ls: BraidWord(n, ls))
+        lambda n: letters(n, max_len).map(lambda ls: BraidWord(n, ls))
     )
 
 
@@ -135,3 +148,42 @@ def test_conjugates_test_conjugate(w, g):
         g = BraidWord(w.index, [x for x in g.letters if abs(x) < w.index])
     rep = conjugacy_test(w, conjugate(w, g))
     assert rep.verdict is Verdict.CONJUGATE
+
+
+@settings(max_examples=150, deadline=None)
+@given(words(max_index=6, max_len=60))
+def test_normal_form_matches_oracle(w):
+    assert normal_form(w) == oracle.normal_form(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_words_equal_matches_handle_reduction(data):
+    u = data.draw(words(max_index=6, max_len=22))
+    n = u.index
+    kind = data.draw(st.sampled_from(("twin", "near-twin", "random")))
+    if kind == "random":
+        v = BraidWord(n, data.draw(letters(n, 30)))
+    else:
+        rng = data.draw(st.randoms(use_true_random=False))
+        rewritten = list(equal_twin(rng, u, rng.randint(1, 4)).letters)
+        if kind == "near-twin" and rewritten:
+            # one sign flip moves the exponent sum, so never equal to u
+            k = rng.randrange(len(rewritten))
+            rewritten[k] = -rewritten[k]
+        v = BraidWord(n, rewritten)
+    assert len(v) <= 30
+    expected = is_trivial_word(concat(u, inverse(v)).letters)
+    assert words_equal(u, v) == expected
+
+
+def test_normal_form_is_fast_at_large_strand_counts():
+    # each single-generator move in the left-weighting is O(1), so a
+    # short word on many strands costs O(n^2) moves in all, not O(n^3)
+    w = parse_word("300: 1 -1 2 -3")
+    start = time.perf_counter()
+    nf = normal_form(w)
+    elapsed = time.perf_counter() - start
+    assert nf == normal_form(parse_word("300: 2 -3"))
+    assert (nf.inf, nf.sup) == (-1, 1)
+    assert elapsed < 3.0, f"{elapsed:.2f} s"
