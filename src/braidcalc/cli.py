@@ -309,13 +309,13 @@ def _cmd_census(args) -> int:
 
 def _cmd_reduce(args) -> int:
     w = _word(args.word)
-    cfg = SearchConfig(
-        max_index=args.max_index,
-        max_extra_stabilizations=args.max_extra_stabilizations,
-        max_word_length=args.max_word_length,
-        node_budget=args.node_budget,
-    )
     try:
+        cfg = SearchConfig(
+            max_index=args.max_index,
+            max_extra_stabilizations=args.max_extra_stabilizations,
+            max_word_length=args.max_word_length,
+            node_budget=args.node_budget,
+        )
         outcome = search_reduce(w, cfg)
     except ValueError as err:
         raise _Usage(str(err)) from err
@@ -329,17 +329,14 @@ def _cmd_reduce(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-        _emit(
-            args,
-            {"tower": doc, "summary": summary, "exhausted": outcome.exhausted},
-            summary,
-        )
+        text = summary
     else:
-        _emit(
-            args,
-            {"tower": doc, "summary": summary, "exhausted": outcome.exhausted},
-            json.dumps(doc) + "\n" + summary,
-        )
+        text = json.dumps(doc) + "\n" + summary
+    _emit(
+        args,
+        {"tower": doc, "summary": summary, "exhausted": outcome.exhausted},
+        text,
+    )
     return 0
 
 

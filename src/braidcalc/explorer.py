@@ -47,6 +47,9 @@ __all__ = [
     "search_reduce",
 ]
 
+# how many generator indices are tried as conjugators at each state
+_CONJUGATION_GENERATORS = 16
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -54,20 +57,15 @@ class SearchConfig:
 
     ``max_index`` bounds the strand count outright;
     ``max_extra_stabilizations`` bounds it relative to the input.
-    ``conjugation_generators`` caps how many generator indices are
-    tried as conjugators at each state.
     """
 
     max_index: int = 16
     max_extra_stabilizations: int = 2
     max_word_length: int = 64
     node_budget: int = 50_000
-    conjugation_generators: int = 16
 
     def __post_init__(self):
-        if self.max_index < 1 or self.max_word_length < 1:
-            raise ValueError(f"caps must be positive: {self}")
-        if self.node_budget < 1 or self.conjugation_generators < 1:
+        if min(self.max_index, self.max_word_length, self.node_budget) < 1:
             raise ValueError(f"caps must be positive: {self}")
         if self.max_extra_stabilizations < 0:
             raise ValueError(f"negative stabilization cap: {self}")
@@ -131,7 +129,7 @@ def _children(
         out.append(
             (Exchange(site.cut1, site.cut2), apply_exchange(word, site))
         )
-    breadth = min(word.index - 1, cfg.conjugation_generators)
+    breadth = min(word.index - 1, _CONJUGATION_GENERATORS)
     for i in range(1, breadth + 1):
         for s in (1, -1):
             g = BraidWord(word.index, (s * i,))

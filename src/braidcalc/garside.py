@@ -258,35 +258,27 @@ def _decycle_once(x: NormalForm) -> NormalForm:
     )
 
 
+def _settle(x: NormalForm, step, gains) -> tuple[NormalForm, bool]:
+    # repeat step, restarting the orbit at each gain, until it revisits
+    seen, gained = {x}, False
+    while x.factors:
+        y = step(x)
+        if gains(y, x):
+            x, seen, gained = y, {y}, True
+        elif y in seen:
+            break
+        else:
+            seen.add(y)
+            x = y
+    return x, gained
+
+
 def _summit_representative(x: NormalForm) -> NormalForm:
     # raise inf by cycling, lower sup by decycling, until both settle
     while True:
-        settled = True
-        seen = {x}
-        while x.factors:
-            y = _cycle_once(x)
-            if y.inf > x.inf:
-                x = y
-                settled = False
-                seen = {x}
-                continue
-            if y in seen:
-                break
-            seen.add(y)
-            x = y
-        seen = {x}
-        while x.factors:
-            y = _decycle_once(x)
-            if y.sup < x.sup:
-                x = y
-                settled = False
-                seen = {x}
-                continue
-            if y in seen:
-                break
-            seen.add(y)
-            x = y
-        if settled:
+        x, raised = _settle(x, _cycle_once, lambda y, x: y.inf > x.inf)
+        x, lowered = _settle(x, _decycle_once, lambda y, x: y.sup < x.sup)
+        if not (raised or lowered):
             return x
 
 

@@ -7,7 +7,10 @@ Burau representation over integer Laurent polynomials:
     alexander(w) = det(burau(w) - I) / (1 + t + ... + t^(n-1))
 
 normalized so the lowest exponent is zero and the lowest coefficient is
-positive.  Both entries are unchanged by conjugation, by both
+positive.  The Burau product is built by rewriting one column per
+letter and the determinant by fraction-free Bareiss elimination, whose
+divisions are exact, so both take time polynomial in the strand count
+and the word length.  Both entries are unchanged by conjugation, by both
 stabilizations and by exchange moves, so a fingerprint mismatch
 certifies that two closures are different links.  The self linking
 number, exponent sum minus strand count, is deliberately kept out of
@@ -18,7 +21,6 @@ reported separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .words import BraidWord, closure_components, exponent_sum
 
@@ -182,109 +184,56 @@ class LaurentPoly:
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
 
 
-def _mat_identity(m: int) -> Matrix:
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    return tuple(
-        tuple(one if i == j else zero for j in range(m)) for i in range(m)
-    )
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    m = len(a)
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = LaurentPoly.zero()
-            for k in range(m):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-@cache
-def _generator_matrix(n: int, g: int) -> Matrix:
-    """Reduced Burau image of the letter ``g`` in the group on ``n`` strands."""
-    m = n - 1
-    t = LaurentPoly.term(1, 1)
-    tinv = LaurentPoly.term(1, -1)
-    one = LaurentPoly.one()
-    rows = [list(row) for row in _mat_identity(m)]
-    i = abs(g)
-    if g > 0:
-        if m == 1:
-            rows[0][0] = -t
-        elif i == 1:
-            rows[0][0] = -t
-            rows[1][0] = one
-        elif i == m:
-            rows[m - 2][m - 1] = t
-            rows[m - 1][m - 1] = -t
-        else:
-            rows[i - 2][i - 1] = t
-            rows[i - 1][i - 1] = -t
-            rows[i][i - 1] = one
-    else:
-        if m == 1:
-            rows[0][0] = -tinv
-        elif i == 1:
-            rows[0][0] = -tinv
-            rows[1][0] = tinv
-        elif i == m:
-            rows[m - 2][m - 1] = one
-            rows[m - 1][m - 1] = -tinv
-        else:
-            rows[i - 2][i - 1] = one
-            rows[i - 1][i - 1] = -tinv
-            rows[i][i - 1] = tinv
-    return tuple(tuple(row) for row in rows)
-
-
 def burau(w: BraidWord) -> Matrix:
     """Reduced Burau matrix of a word, exact over Laurent integers.
 
     The matrix has shape ``(n - 1) x (n - 1)``; the empty word on one
-    strand yields the empty matrix.
+    strand yields the empty matrix.  A letter ``g`` differs from the
+    identity only in column ``c = |g| - 1``, whose rows ``c - 1, c, c + 1``
+    hold ``t, -t, 1`` for a positive letter and ``1, -t^-1, t^-1`` for a
+    negative one (rows outside the matrix dropped), so each letter
+    rewrites one column of the running product.
     """
 
-    m = _mat_identity(w.index - 1)
+    m = w.index - 1
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    rows = [[one if i == j else zero for j in range(m)] for i in range(m)]
     for g in w.letters:
-        m = _mat_mul(m, _generator_matrix(w.index, g))
-    return m
+        c = abs(g) - 1
+        for row in rows:
+            left = row[c - 1] if c > 0 else zero
+            right = row[c + 1] if c + 1 < m else zero
+            if g > 0:
+                row[c] = (left - row[c]).shift(1) + right
+            else:
+                row[c] = left + (right - row[c]).shift(-1)
+    return tuple(tuple(row) for row in rows)
 
 
 def _det(mat: Matrix) -> LaurentPoly:
-    # division free expansion with memoization over column subsets
-    m = len(mat)
+    # fraction-free Bareiss elimination (Math. Comp. 22, 1968): each
+    # entry update divides exactly by the previous pivot, and a zero
+    # pivot is replaced by a row swap that flips the sign
+    a = [list(row) for row in mat]
+    m = len(a)
     if m == 0:
         return LaurentPoly.one()
-    memo: dict[frozenset[int], LaurentPoly] = {}
-
-    def minor(row: int, cols: frozenset[int]) -> LaurentPoly:
-        if row == m:
-            return LaurentPoly.one()
-        key = cols
-        if key in memo:
-            return memo[key]
-        acc = LaurentPoly.zero()
-        for pos, j in enumerate(sorted(cols)):
-            entry = mat[row][j]
-            if entry.is_zero():
-                continue
-            sub = minor(row + 1, cols - {j})
-            term = entry * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        memo[key] = acc
-        return acc
-
-    return minor(0, frozenset(range(m)))
+    sign, prev = 1, LaurentPoly.one()
+    for k in range(m - 1):
+        if a[k][k].is_zero():
+            rest = [i for i in range(k + 1, m) if not a[i][k].is_zero()]
+            if not rest:
+                return LaurentPoly.zero()
+            a[k], a[rest[0]] = a[rest[0]], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                a[i][j] = (
+                    a[i][j] * pivot - a[i][k] * a[k][j]
+                ).exact_div(prev)
+        prev = pivot
+    return a[-1][-1] if sign > 0 else -a[-1][-1]
 
 
 def alexander(w: BraidWord) -> LaurentPoly:
@@ -297,8 +246,13 @@ def alexander(w: BraidWord) -> LaurentPoly:
 
     if w.index == 1:
         return LaurentPoly.one()
-    mat = _mat_sub(burau(w), _mat_identity(w.index - 1))
-    det = _det(mat)
+    one = LaurentPoly.one()
+    det = _det(
+        tuple(
+            tuple(x - one if i == j else x for j, x in enumerate(row))
+            for i, row in enumerate(burau(w))
+        )
+    )
     if det.is_zero():
         return LaurentPoly.zero()
     divisor = LaurentPoly({k: 1 for k in range(w.index)})

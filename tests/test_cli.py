@@ -244,6 +244,8 @@ def test_reduce_rejects_bad_budget(capsys):
     capsys.readouterr()
     code, _, err = run(capsys, "reduce", "3: 1", "--max-index", "2")
     assert code == 2
+    code, _, err = run(capsys, "reduce", "3: 1", "--node-budget", "0")
+    assert code == 2 and err.startswith("error: caps must be positive")
 
 
 @pytest.mark.parametrize(
