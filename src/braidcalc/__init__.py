@@ -48,9 +48,7 @@ from .moves import (
     Conjugate,
     CyclicShift,
     Destabilize,
-    DestabSite,
     Exchange,
-    ExchangeSite,
     Flype3,
     InvalidSite,
     PatternMismatch,
@@ -58,8 +56,6 @@ from .moves import (
     Stabilize,
     Tower,
     TowerStep,
-    apply_destabilize,
-    apply_exchange,
     apply_flype3,
     apply_move,
     dump_tower,

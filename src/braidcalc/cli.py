@@ -32,8 +32,6 @@ from .garside import (
     words_equal,
 )
 from .moves import (
-    InvalidSite,
-    PatternMismatch,
     apply_move,
     load_tower,
     move_from_json,
@@ -157,7 +155,7 @@ def _cmd_move(args) -> int:
         move = move_from_json(json.loads(args.move))
     try:
         result = apply_move(w, move)
-    except (InvalidSite, PatternMismatch, ValueError) as err:
+    except ValueError as err:
         raise _Failure(str(err)) from err
     _emit(args, {"word": format_word(result)}, format_word(result))
     return 0

@@ -1,13 +1,17 @@
 """Best-first search for move sequences that lower a braid's complexity.
 
 States are braid words up to rotation and free reduction; moves are
-destabilizations, exchange moves, conjugations by single generators,
-and a bounded number of stabilizations.  The objective is the proxy
-pair (strand count, cyclically reduced length), ordered
-lexicographically: strand count first, mirroring the index-first
-complexity ordering the move theory is organized around.  The search
-returns a replayable tower to the best state found, never worse than
-the start, and is deterministic for a fixed input and configuration.
+the destabilizations and exchange moves a state's word exposes, and a
+bounded number of stabilizations.  Conjugation by a single generator
+is not a move here: a cyclically reduced conjugate of a cyclically
+reduced free word is one of its rotations (Lyndon and Schupp,
+Combinatorial Group Theory, I.1), so it never reaches a new state.
+The objective is the proxy pair (strand count, cyclically reduced
+length), ordered lexicographically: strand count first, mirroring the
+index-first complexity ordering the move theory is organized around.
+The search returns a replayable tower to the best state found, never
+worse than the start, and is deterministic for a fixed input and
+configuration.
 
 Every stored state is freely and cyclically reduced, and the clean-up
 conjugations that bring a raw move result into that form are recorded
@@ -25,17 +29,13 @@ from dataclasses import dataclass
 
 from .moves import (
     Conjugate,
-    Destabilize,
-    Exchange,
     Move,
     Stabilize,
     Tower,
-    apply_destabilize,
-    apply_exchange,
+    apply_move,
     extend,
     find_destabilizations,
     find_exchanges,
-    stabilize,
 )
 from .words import BraidWord, conjugate, cyclic_reduce, free_reduce
 
@@ -46,9 +46,6 @@ __all__ = [
     "proxy_complexity",
     "search_reduce",
 ]
-
-# how many generator indices are tried as conjugators at each state
-_CONJUGATION_GENERATORS = 16
 
 
 @dataclass(frozen=True)
@@ -92,14 +89,22 @@ def proxy_complexity(w: BraidWord) -> tuple[int, int]:
 
 
 def canonical_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
-    """A state key shared by rotations of the freely reduced cyclic word."""
+    """A state key shared by rotations of the freely reduced cyclic word.
+
+    The key is the lexicographically least rotation of the letters.
+    """
     letters = cyclic_reduce(w).letters
     if not letters:
         return (w.index, ())
-    # byte encoding keeps the rotation scan in C; +128 preserves order
-    enc = bytes(g + 128 for g in letters)
-    least = min(enc[k:] + enc[:k] for k in range(len(enc)))
-    return (w.index, tuple(x - 128 for x in least))
+    # fixed-width biased big-endian bytes order like the letters and keep
+    # the rotation scan in C at any strand count
+    width = max(map(abs, letters)).bit_length() // 8 + 1
+    bias = 1 << (8 * width - 1)
+    enc = b"".join((g + bias).to_bytes(width, "big") for g in letters)
+    k = min(
+        range(len(letters)), key=lambda k: enc[k * width :] + enc[: k * width]
+    )
+    return (w.index, letters[k:] + letters[:k])
 
 
 def _normalize(word: BraidWord) -> tuple[BraidWord, tuple[Move, ...]]:
@@ -117,27 +122,11 @@ def _normalize(word: BraidWord) -> tuple[BraidWord, tuple[Move, ...]]:
     return word, tuple(moves)
 
 
-def _children(
-    word: BraidWord, index_cap: int, cfg: SearchConfig
-) -> list[tuple[Move, BraidWord]]:
-    out: list[tuple[Move, BraidWord]] = []
-    for site in find_destabilizations(word):
-        out.append(
-            (Destabilize(site.sign), apply_destabilize(word, site))
-        )
-    for site in find_exchanges(word):
-        out.append(
-            (Exchange(site.cut1, site.cut2), apply_exchange(word, site))
-        )
-    breadth = min(word.index - 1, _CONJUGATION_GENERATORS)
-    for i in range(1, breadth + 1):
-        for s in (1, -1):
-            g = BraidWord(word.index, (s * i,))
-            out.append((Conjugate(g), conjugate(word, g)))
+def _children(word: BraidWord, index_cap: int) -> list[tuple[Move, BraidWord]]:
+    moves: list[Move] = [*find_destabilizations(word), *find_exchanges(word)]
     if word.index < index_cap:
-        for s in (1, -1):
-            out.append((Stabilize(s), stabilize(word, s)))
-    return out
+        moves += [Stabilize(1), Stabilize(-1)]
+    return [(move, apply_move(word, move)) for move in moves]
 
 
 def search_reduce(
@@ -182,7 +171,7 @@ def search_reduce(
         if best_rank[0] == floor:
             break
         word = nodes[at][0]
-        for move, raw in _children(word, index_cap, cfg):
+        for move, raw in _children(word, index_cap):
             if len(raw.letters) > cfg.max_word_length:
                 continue
             child_key = canonical_key(raw)

@@ -3,8 +3,8 @@
 Moves act on closed braid representatives at the word level:
 
 * stabilization appends ``sign * n`` and raises the strand count;
-* destabilization removes a final letter that is the unique occurrence
-  of the top generator, after an explicit rotation of the cyclic word;
+* destabilization removes the unique occurrence of the top generator,
+  after rotating the cyclic word so that it comes last;
 * the exchange move flips the signs of the only two, oppositely signed,
   top generator letters;
 * the three strand flype rewrites the literal pattern
@@ -15,7 +15,10 @@ Moves act on closed braid representatives at the word level:
 Destabilization and the exchange move are deliberately syntactic: they
 fire only when the written word exposes the site.  Conjugating into
 position first is the caller's job, which keeps every move cheap and
-every tower replayable letter by letter.
+every tower replayable letter by letter.  Each move value is its own
+site: ``find_destabilizations`` and ``find_exchanges`` return the moves
+a word admits, and ``apply_move``, the one applier, checks the site
+again with a single scan of the top generator letters.
 
 A :class:`Tower` stores the starting word and one ``(move, result)``
 pair per step.  ``replay`` re-applies each move, confirms the recorded
@@ -47,12 +50,8 @@ __all__ = [
     "Flype3",
     "Move",
     "stabilize",
-    "DestabSite",
     "find_destabilizations",
-    "apply_destabilize",
-    "ExchangeSite",
     "find_exchanges",
-    "apply_exchange",
     "parse_flype3",
     "apply_flype3",
     "FlypeArithmetic",
@@ -133,94 +132,36 @@ def _top_positions(w: BraidWord) -> list[int]:
     return [i for i, g in enumerate(w.letters) if abs(g) == top]
 
 
-@dataclass(frozen=True)
-class DestabSite:
-    """Rotation that exposes the unique top letter at the end of the word."""
-
-    rotation: int
-    sign: int
-
-
-def find_destabilizations(w: BraidWord) -> list[DestabSite]:
-    """All rotations after which the last letter is the unique top letter.
+def find_destabilizations(w: BraidWord) -> list[Destabilize]:
+    """The destabilization the written word admits, if any.
 
     A word qualifies only when the generator ``n - 1`` appears exactly
-    once, in either sign, so the result has at most one entry.
+    once; the move carries that letter's sign, so the result has at
+    most one entry.
     """
 
-    if w.index < 2:
-        return []
     positions = _top_positions(w)
     if len(positions) != 1:
         return []
-    pos = positions[0]
-    rotation = (pos + 1) % len(w.letters)
-    sign = 1 if w.letters[pos] > 0 else -1
-    return [DestabSite(rotation, sign)]
+    return [Destabilize(1 if w.letters[positions[0]] > 0 else -1)]
 
 
-def apply_destabilize(w: BraidWord, site: DestabSite) -> BraidWord:
-    """Rotate per the site, drop the final top letter, lower the index."""
-    if site not in find_destabilizations(w):
-        raise InvalidSite(f"no destabilization at {site} in {format_word(w)}")
-    rotated = rotate(w, site.rotation)
-    return BraidWord(w.index - 1, rotated.letters[:-1])
+def find_exchanges(w: BraidWord) -> list[Exchange]:
+    """The exchange the written word admits, if any.
 
-
-@dataclass(frozen=True)
-class ExchangeSite:
-    """Cyclic decomposition ``P (eps top) Q (-eps top)`` of the word.
-
-    ``cut1`` indexes the ``eps`` signed top letter and ``cut2`` the
-    opposite one; ``p`` and ``q`` are the letter segments between them,
-    read cyclically, and contain no top letters.
+    Requires exactly two top generator letters of opposite sign, read
+    cyclically as ``P (top) Q (top^-1)``; ``cut1`` indexes the positive
+    one, so each qualifying word yields a single move.  Both ``P`` and
+    ``Q`` may be empty.
     """
 
-    cut1: int
-    cut2: int
-    eps: int
-    p: tuple[int, ...]
-    q: tuple[int, ...]
-
-
-def find_exchanges(w: BraidWord) -> list[ExchangeSite]:
-    """Decompositions of the cyclic word as ``P (top) Q (top^-1)``.
-
-    Requires exactly two top generator letters of opposite sign; the
-    decomposition is anchored at the positive one, so each qualifying
-    word yields a single site.  Both ``P`` and ``Q`` may be empty.
-    """
-
-    if w.index < 2:
-        return []
     positions = _top_positions(w)
     if len(positions) != 2:
         return []
     a, b = positions
-    sa, sb = (1 if w.letters[i] > 0 else -1 for i in positions)
-    if sa == sb:
+    if w.letters[a] == w.letters[b]:
         return []
-    cut1, cut2 = (a, b) if sa > 0 else (b, a)
-    letters = w.letters
-
-    def segment(start: int, stop: int) -> tuple[int, ...]:
-        if start <= stop:
-            return letters[start:stop]
-        return letters[start:] + letters[:stop]
-
-    q = segment((cut1 + 1) % len(letters), cut2)
-    p = segment((cut2 + 1) % len(letters), cut1)
-    return [ExchangeSite(cut1, cut2, 1, p, q)]
-
-
-def apply_exchange(w: BraidWord, site: ExchangeSite) -> BraidWord:
-    """Flip the signs of the two top letters at the site, in place."""
-    if site not in find_exchanges(w):
-        raise InvalidSite(f"no exchange at {site} in {format_word(w)}")
-    letters = list(w.letters)
-    letters[site.cut1] = -letters[site.cut1]
-    letters[site.cut2] = -letters[site.cut2]
-    return BraidWord(w.index, letters)
+    return [Exchange(a, b) if w.letters[a] > 0 else Exchange(b, a)]
 
 
 def _runs(letters: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -303,20 +244,27 @@ def apply_move(w: BraidWord, move: Move) -> BraidWord:
     if isinstance(move, Stabilize):
         return stabilize(w, move.sign)
     if isinstance(move, Destabilize):
-        sites = [s for s in find_destabilizations(w) if s.sign == move.sign]
-        if not sites:
+        # the only top letter, of the move's sign, rotated off the end
+        top = _top_positions(w)
+        if len(top) != 1 or w.letters[top[0]] != move.sign * (w.index - 1):
             raise InvalidSite(
                 f"no destabilization of sign {move.sign} in {format_word(w)}"
             )
-        return apply_destabilize(w, sites[0])
+        pos = top[0]
+        return BraidWord(w.index - 1, w.letters[pos + 1 :] + w.letters[:pos])
     if isinstance(move, Exchange):
-        for site in find_exchanges(w):
-            if (site.cut1, site.cut2) == (move.cut1, move.cut2):
-                return apply_exchange(w, site)
-        raise InvalidSite(
-            f"no exchange at cuts ({move.cut1}, {move.cut2})"
-            f" in {format_word(w)}"
-        )
+        # the only two top letters: positive at cut1, negative at cut2
+        cut1, cut2 = move.cut1, move.cut2
+        if _top_positions(w) != sorted((cut1, cut2)) or not (
+            w.letters[cut1] > 0 > w.letters[cut2]
+        ):
+            raise InvalidSite(
+                f"no exchange at cuts ({cut1}, {cut2}) in {format_word(w)}"
+            )
+        letters = list(w.letters)
+        letters[cut1] = -letters[cut1]
+        letters[cut2] = -letters[cut2]
+        return BraidWord(w.index, letters)
     if isinstance(move, Flype3):
         parsed = parse_flype3(w)
         if parsed != (move.p, move.u, move.q, move.eps):
@@ -384,7 +332,7 @@ def replay(tower: Tower) -> ReplayReport:
     for number, step in enumerate(tower.steps, start=1):
         try:
             computed = apply_move(current, step.move)
-        except (InvalidSite, PatternMismatch, ValueError):
+        except ValueError:
             return _report(False, number, prints)
         if (
             computed.index != step.result.index

@@ -26,7 +26,7 @@ from braidcalc.moves import (
     Destabilize,
     Stabilize,
     Tower,
-    apply_exchange,
+    apply_move,
     extend,
     find_exchanges,
     flype_admissibility,
@@ -111,9 +111,9 @@ def test_criterion_03_exchange_agrees_with_stab_conj_destab():
         p = tuple(rng.choice((1, -1)) for _ in range(rng.randint(0, 5)))
         q = tuple(rng.choice((1, -1)) for _ in range(rng.randint(0, 5)))
         x = BraidWord(3, p + (2,) + q + (-2,))
-        sites = find_exchanges(x)
-        assert sites, f"no exchange site on {x}"
-        exchanged = apply_exchange(x, sites[0])
+        moves = find_exchanges(x)
+        assert moves, f"no exchange site on {x}"
+        exchanged = apply_move(x, moves[0])
         tower = Tower(x)
         tower = extend(tower, Stabilize(1))
         tower = extend(tower, Conjugate(inverse(BraidWord(4, p))))
@@ -140,9 +140,9 @@ def test_criterion_04_three_strand_exchange_preserves_conjugacy():
             BraidWord(3, p + (2 * e,) + q + (-2 * e,)),
             rng.randint(0, len(p) + len(q) + 1),
         )
-        sites = find_exchanges(x)
-        assert sites, f"no exchange site on {x}"
-        y = apply_exchange(x, sites[0])
+        moves = find_exchanges(x)
+        assert moves, f"no exchange site on {x}"
+        y = apply_move(x, moves[0])
         verdict = conjugacy_test(x, y).verdict
         assert verdict is Verdict.CONJUGATE, f"{x} vs exchanged {y}: {verdict}"
         done += 1
@@ -344,9 +344,9 @@ def test_criterion_10_search_recovers_obfuscated_closures():
             g = rng.choice((1, -1)) * rng.randint(1, w.index - 1)
             w = conjugate(w, BraidWord(w.index, (g,)))
         if rng.random() < 0.5:
-            sites = find_exchanges(w)
-            if sites:
-                w = apply_exchange(w, sites[0])
+            moves = find_exchanges(w)
+            if moves:
+                w = apply_move(w, moves[0])
         outcome = search_reduce(w)
         good = (
             outcome.proxy_complexity == floor

@@ -132,6 +132,16 @@ def test_reduce_inline_tower(capsys):
     assert summary == "reduced n=3 len=2 -> n=1 len=0 nodes=3"
 
 
+def test_reduce_above_128_strands(capsys):
+    code, out, err = run(
+        capsys, "reduce", "200: 150 199", "--max-index", "300"
+    )
+    assert code == 0 and err == ""
+    doc_line, summary = out.strip().split("\n")
+    assert json.loads(doc_line)["steps"][0]["result"] == "199: 150"
+    assert summary == "reduced n=200 len=2 -> n=199 len=1 nodes=15"
+
+
 def test_expand_catalog_name(capsys):
     code, out, _ = run(
         capsys,

@@ -1,8 +1,12 @@
 """Best-first reduction search."""
 
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcalc.explorer import (
     SearchConfig,
@@ -12,12 +16,25 @@ from braidcalc.explorer import (
 )
 from braidcalc.invariants import fingerprint
 from braidcalc.moves import (
-    apply_exchange,
+    apply_move,
     find_exchanges,
     replay,
     stabilize,
+    tower_to_json,
 )
-from braidcalc.words import BraidWord, conjugate
+from braidcalc.words import BraidWord, conjugate, cyclic_reduce
+
+
+def words(min_index, max_index):
+    return st.integers(min_index, max_index).flatmap(
+        lambda n: st.lists(
+            st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+            max_size=12,
+        ).map(lambda ls: BraidWord(n, ls))
+    )
+
+
+small_or_wide_words = st.one_of(words(2, 6), words(120, 300))
 
 
 def test_config_validation():
@@ -52,6 +69,35 @@ def test_canonical_key():
     assert canonical_key(BraidWord(2, ())) != canonical_key(BraidWord(3, ()))
 
 
+def test_canonical_key_above_128_strands():
+    w = BraidWord(200, (199, 150, -199, 2))
+    assert canonical_key(w) == (200, (-199, 2, 199, 150))
+    rotated = BraidWord(200, (2, 199, 150, -199))
+    assert canonical_key(rotated) == canonical_key(w)
+    assert canonical_key(BraidWord(200, (150, 199))) == (200, (150, 199))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_or_wide_words)
+def test_canonical_key_is_least_rotation(w):
+    letters = cyclic_reduce(w).letters
+    rotations = [letters[k:] + letters[:k] for k in range(len(letters))]
+    assert canonical_key(w) == (w.index, min(rotations, default=()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_or_wide_words, st.data())
+def test_canonical_key_ignores_single_generator_conjugation(w, data):
+    # why the search has no conjugation children: a cyclically reduced
+    # conjugate of a cyclically reduced word is one of its rotations
+    w = cyclic_reduce(w)
+    g = data.draw(st.integers(1, w.index - 1)) * data.draw(
+        st.sampled_from((1, -1))
+    )
+    conjugated = conjugate(w, BraidWord(w.index, (g,)))
+    assert canonical_key(conjugated) == canonical_key(w)
+
+
 def test_two_syntactic_destabilizations():
     out = search_reduce(BraidWord(3, (1, -2)))
     assert out.proxy_complexity == (1, 0)
@@ -81,9 +127,9 @@ def test_obfuscated_unknot_recovery():
     for _ in range(3):
         g = rng.choice([1, -1, 2, -2, 3, -3])
         w = conjugate(w, BraidWord(w.index, (g,)))
-    sites = find_exchanges(w)
-    if sites:
-        w = apply_exchange(w, sites[0])
+    moves = find_exchanges(w)
+    if moves:
+        w = apply_move(w, moves[0])
     out = search_reduce(w)
     assert out.proxy_complexity == (1, 0)
     assert fingerprint(out.reached) == fingerprint(w)
@@ -124,3 +170,27 @@ def test_budget_exhaustion_is_reported():
     if tiny.proxy_complexity > (1, 0):
         assert tiny.exhausted or tiny.proxy_complexity == full.proxy_complexity
     assert tiny.proxy_complexity >= full.proxy_complexity
+
+
+def test_search_output_is_pinned():
+    # criterion 10's inputs; any change to a tower or a node count
+    # changes this digest
+    rng = random.Random(424)
+    results = []
+    for trial in range(100):
+        w = BraidWord(2, (1,) if trial % 2 == 0 else (1, 1, 1))
+        for _ in range(rng.randint(0, 2)):
+            w = stabilize(w, rng.choice((1, -1)))
+        for _ in range(rng.randint(0, 4)):
+            g = rng.choice((1, -1)) * rng.randint(1, w.index - 1)
+            w = conjugate(w, BraidWord(w.index, (g,)))
+        if rng.random() < 0.5:
+            moves = find_exchanges(w)
+            if moves:
+                w = apply_move(w, moves[0])
+        out = search_reduce(w)
+        results.append([tower_to_json(out.best), out.nodes])
+    doc = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "3138aaa89cf1e606f06a9c619812bbe0a91f3df1cd4197679635dfd265fe8332"
+    )

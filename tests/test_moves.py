@@ -1,6 +1,7 @@
 """Move vocabulary: stabilize, destabilize, exchange, 3-braid flype, towers."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,19 +13,16 @@ from braidcalc.moves import (
     Conjugate,
     CyclicShift,
     Destabilize,
-    DestabSite,
     Exchange,
-    ExchangeSite,
     Flype3,
     InvalidSite,
     PatternMismatch,
     Stabilize,
     Tower,
     TowerStep,
-    apply_destabilize,
-    apply_exchange,
     apply_flype3,
     apply_move,
+    dump_tower,
     extend,
     find_destabilizations,
     find_exchanges,
@@ -38,7 +36,9 @@ from braidcalc.moves import (
     tower_from_json,
     tower_to_json,
 )
-from braidcalc.words import BraidWord, conjugate, free_reduce, inverse
+from braidcalc.words import BraidWord, free_reduce, inverse, rotate
+
+TOWER_FIXTURE = Path(__file__).with_name("tower_six_kinds.json")
 
 
 def test_stabilize():
@@ -53,67 +53,81 @@ def test_stabilize():
 
 
 def test_find_destabilizations():
-    assert find_destabilizations(BraidWord(3, (1, 2))) == [DestabSite(0, 1)]
-    assert find_destabilizations(BraidWord(3, (2, 1))) == [DestabSite(1, 1)]
+    assert find_destabilizations(BraidWord(3, (1, 2))) == [Destabilize(1)]
+    assert find_destabilizations(BraidWord(3, (2, 1))) == [Destabilize(1)]
     assert find_destabilizations(BraidWord(3, (1, 2, 1, -2))) == []
-    assert find_destabilizations(BraidWord(3, (1, -2))) == [DestabSite(0, -1)]
+    assert find_destabilizations(BraidWord(3, (1, -2))) == [Destabilize(-1)]
     assert find_destabilizations(BraidWord(1, ())) == []
 
 
 def test_apply_destabilize():
-    assert apply_destabilize(
-        BraidWord(3, (1, 2)), DestabSite(0, 1)
-    ) == BraidWord(2, (1,))
-    assert apply_destabilize(
-        BraidWord(2, (1,)), DestabSite(0, 1)
-    ) == BraidWord(1, ())
-    assert apply_destabilize(
-        BraidWord(3, (1, -2)), DestabSite(0, -1)
-    ) == BraidWord(2, (1,))
+    assert apply_move(BraidWord(3, (1, 2)), Destabilize(1)) == BraidWord(
+        2, (1,)
+    )
+    assert apply_move(BraidWord(2, (1,)), Destabilize(1)) == BraidWord(1, ())
+    assert apply_move(BraidWord(3, (1, -2)), Destabilize(-1)) == BraidWord(
+        2, (1,)
+    )
+    # the top letter is rotated to the end before it is dropped
+    assert apply_move(
+        BraidWord(3, (1, 2, -1, 1)), Destabilize(1)
+    ) == BraidWord(2, (-1, 1, 1))
+    with pytest.raises(InvalidSite) as err:
+        apply_move(BraidWord(3, (1, 2)), Destabilize(-1))
+    assert str(err.value) == "no destabilization of sign -1 in 3: 1 2"
     with pytest.raises(InvalidSite):
-        apply_destabilize(BraidWord(3, (1, 2)), DestabSite(1, 1))
+        apply_move(BraidWord(3, (2, 1, 2)), Destabilize(1))
+    with pytest.raises(InvalidSite):
+        apply_move(BraidWord(1, ()), Destabilize(1))
 
 
 def test_stab_destab_round_trip():
     w = BraidWord(3, (1, -2, 1))
     for sign in (1, -1):
         up = stabilize(w, sign)
-        sites = find_destabilizations(up)
-        assert sites == [DestabSite(0, sign)]
-        assert apply_destabilize(up, sites[0]) == w
+        moves = find_destabilizations(up)
+        assert moves == [Destabilize(sign)]
+        assert apply_move(up, moves[0]) == w
 
 
 def test_find_exchanges():
-    sites = find_exchanges(BraidWord(3, (1, 1, 2, -1, -2)))
-    assert sites == [ExchangeSite(2, 4, 1, (1, 1), (-1,))]
+    moves = find_exchanges(BraidWord(3, (1, 1, 2, -1, -2)))
+    assert moves == [Exchange(2, 4)]
     assert find_exchanges(BraidWord(3, (1, 2, 1, 2))) == []
-    degenerate = find_exchanges(BraidWord(3, (2, -2)))
-    assert degenerate == [ExchangeSite(0, 1, 1, (), ())]
+    assert find_exchanges(BraidWord(3, (2, -1, 2))) == []
+    assert find_exchanges(BraidWord(3, (2, -2))) == [Exchange(0, 1)]
     # rotation robustness: the pattern may wrap the seam
-    wrapped = find_exchanges(BraidWord(3, (-2, 1, 1, 2, -1)))
-    assert len(wrapped) == 1 and wrapped[0].p == (1, 1)
+    wrapped = BraidWord(3, (-2, 1, 1, 2, -1))
+    assert find_exchanges(wrapped) == [Exchange(3, 0)]
+    assert apply_move(wrapped, Exchange(3, 0)) == BraidWord(
+        3, (2, 1, 1, -2, -1)
+    )
 
 
 def test_apply_exchange():
     w = BraidWord(3, (1, 1, 2, -1, -2))
-    out = apply_exchange(w, find_exchanges(w)[0])
+    out = apply_move(w, find_exchanges(w)[0])
     assert out == BraidWord(3, (1, 1, -2, -1, 2))
     assert fingerprint(out) == fingerprint(w)
     assert conjugacy_test(w, out).verdict is Verdict.CONJUGATE
 
     degenerate = BraidWord(3, (2, -2))
-    flipped = apply_exchange(degenerate, find_exchanges(degenerate)[0])
+    flipped = apply_move(degenerate, find_exchanges(degenerate)[0])
     assert flipped == BraidWord(3, (-2, 2))
     assert free_reduce(flipped) == BraidWord(3, ())
 
+    with pytest.raises(InvalidSite) as err:
+        apply_move(w, Exchange(0, 1))
+    assert str(err.value) == "no exchange at cuts (0, 1) in 3: 1 1 2 -1 -2"
+    # the positive top letter must sit at cut1
     with pytest.raises(InvalidSite):
-        apply_exchange(w, ExchangeSite(0, 1, 1, (), ()))
+        apply_move(w, Exchange(4, 2))
 
 
 def test_exchange_is_an_involution():
     w = BraidWord(3, (1, 1, 2, -1, -2))
-    once = apply_exchange(w, find_exchanges(w)[0])
-    twice = apply_exchange(once, find_exchanges(once)[0])
+    once = apply_move(w, find_exchanges(w)[0])
+    twice = apply_move(once, find_exchanges(once)[0])
     assert twice == w
 
 
@@ -245,8 +259,6 @@ def test_tower_json_round_trip(tmp_path):
     assert tower_from_json(json.loads(json.dumps(data))) == tower
 
     path = tmp_path / "tower.json"
-    from braidcalc.moves import dump_tower
-
     dump_tower(tower, path)
     assert load_tower(path) == tower
 
@@ -268,10 +280,8 @@ def test_moves_preserve_fingerprint(w, sign):
     fp = fingerprint(w)
     up = stabilize(w, sign)
     assert fingerprint(up) == fp
-    for site in find_destabilizations(w):
-        assert fingerprint(apply_destabilize(w, site)) == fp
-    for site in find_exchanges(w):
-        assert fingerprint(apply_exchange(w, site)) == fp
+    for move in find_destabilizations(w) + find_exchanges(w):
+        assert fingerprint(apply_move(w, move)) == fp
 
 
 @settings(max_examples=30, deadline=None)
@@ -279,6 +289,50 @@ def test_moves_preserve_fingerprint(w, sign):
 def test_exchange_conjugate_at_index_three(w):
     if w.index != 3:
         w = BraidWord(3, [g for g in w.letters if abs(g) <= 2])
-    for site in find_exchanges(w):
-        out = apply_exchange(w, site)
+    for move in find_exchanges(w):
+        out = apply_move(w, move)
         assert conjugacy_test(w, out).verdict is Verdict.CONJUGATE
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_words())
+def test_apply_move_accepts_exactly_the_found_sites(w):
+    # every candidate site: the applier's check agrees with the finders
+    found = find_destabilizations(w) + find_exchanges(w)
+    candidates = [Destabilize(1), Destabilize(-1)] + [
+        Exchange(a, b)
+        for a in range(len(w.letters))
+        for b in range(len(w.letters))
+    ]
+    for move in candidates:
+        if move not in found:
+            with pytest.raises(InvalidSite):
+                apply_move(w, move)
+        elif isinstance(move, Destabilize):
+            # putting the letter back gives a rotation of the word
+            back = stabilize(apply_move(w, move), move.sign).letters
+            assert back in {
+                rotate(w, k).letters for k in range(len(w.letters))
+            }
+        else:
+            out = apply_move(w, move)
+            assert apply_move(out, find_exchanges(out)[0]) == w
+
+
+def test_tower_fixture_replays_unchanged(tmp_path):
+    text = TOWER_FIXTURE.read_text(encoding="utf-8")
+    tower = load_tower(TOWER_FIXTURE)
+    kinds = {move_to_json(step.move)["kind"] for step in tower.steps}
+    assert kinds == {
+        "conjugate",
+        "cyclic",
+        "stabilize",
+        "destabilize",
+        "exchange",
+        "flype3",
+    }
+    report = replay(tower)
+    assert report.ok and report.constant
+    assert report.failed_step is None
+    dump_tower(tower, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text(encoding="utf-8") == text
