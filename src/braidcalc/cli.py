@@ -9,12 +9,17 @@ expectation (or an inconsistent input object such as a failing census);
 2 is a usage or parse error.  ``--format json`` switches every
 subcommand to a machine readable document matching the module file
 formats.
+
+The subcommands are the rows of one table, ``_COMMANDS``: name, handler,
+help and the ``add_argument`` calls of each.  The parser is built from
+it on the first call of ``main`` and reused for the rest of the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import random
@@ -33,6 +38,7 @@ from .garside import (
 )
 from .moves import (
     apply_move,
+    dump_tower,
     load_tower,
     move_from_json,
     replay,
@@ -324,9 +330,7 @@ def _cmd_reduce(args) -> int:
     )
     doc = tower_to_json(outcome.best)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        dump_tower(outcome.best, args.out)
         text = summary
     else:
         text = json.dumps(doc) + "\n" + summary
@@ -338,6 +342,64 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+_SIDE = {"choices": ("plus", "minus"), "default": "plus"}
+
+# one row per subcommand: (name, handler, help, arguments); each
+# argument is (flags, options), passed straight to add_argument
+_COMMANDS = (
+    ("eq", _cmd_eq, "braid word equality", (
+        (("word1",), {}),
+        (("word2",), {}),
+        (("--expect",), {"choices": ("equal", "not-equal")}),
+    )),
+    ("conj", _cmd_conj, "conjugacy test", (
+        (("word1",), {}),
+        (("word2",), {}),
+        (("--cap",), {"type": int, "default": DEFAULT_NODE_CAP}),
+        (("--expect",), {"choices": tuple(v.value for v in Verdict)}),
+    )),
+    ("nf", _cmd_nf, "left normal form", ((("word",), {}),)),
+    ("invariants", _cmd_invariants, "closure fingerprint", ((("word",), {}),)),
+    ("move", _cmd_move, "apply one move", (
+        (("word",), {}),
+        (("move",), {"help": "move document as JSON"}),
+    )),
+    ("replay", _cmd_replay, "replay a tower file", ((("tower",), {}),)),
+    ("expand", _cmd_expand, "expand a template side", (
+        (("template",), {}),
+        (("--side",), _SIDE),
+        (("--assign",), {
+            "action": "append",
+            "metavar": "NAME=WORD",
+            "help": "block assignment, repeatable",
+        }),
+    )),
+    ("verify-template", _cmd_verify_template,
+     "sample assignments and compare closure fingerprints", (
+        (("template",), {}),
+        (("--samples",), {"type": int, "default": 25}),
+        (("--seed",), {"type": int, "default": 0}),
+        (("--max-len",), {"type": int, "default": 6}),
+    )),
+    ("certify", _cmd_certify,
+     "top generator budget certificate for a diagram", (
+        (("diagram",), {"help": "diagram or template JSON file"}),
+        (("--side",), _SIDE),
+        (("--min-last-count",), {"type": int, "required": True}),
+    )),
+    ("census", _cmd_census, "census balance checks", ((("census",), {}),)),
+    ("reduce", _cmd_reduce, "search for a reducing tower", (
+        (("word",), {}),
+        (("--node-budget",), {"type": int, "default": 50_000}),
+        (("--max-extra-stabilizations",), {"type": int, "default": 2}),
+        (("--max-index",), {"type": int, "default": 16}),
+        (("--max-word-length",), {"type": int, "default": 64}),
+        (("--out",), {"help": "write the tower file here"}),
+    )),
+)
+
+
+@functools.cache  # once per process: parse_args leaves the parser as it is
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -350,99 +412,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="braid", description="braid word calculator"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eq", parents=[shared], help="braid word equality")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.add_argument("--expect", choices=("equal", "not-equal"))
-    p.set_defaults(func=_cmd_eq)
-
-    p = sub.add_parser("conj", parents=[shared], help="conjugacy test")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
-    p.add_argument(
-        "--expect",
-        choices=tuple(v.value for v in Verdict),
-    )
-    p.set_defaults(func=_cmd_conj)
-
-    p = sub.add_parser("nf", parents=[shared], help="left normal form")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_nf)
-
-    p = sub.add_parser(
-        "invariants", parents=[shared], help="closure fingerprint"
-    )
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("move", parents=[shared], help="apply one move")
-    p.add_argument("word")
-    p.add_argument("move", help="move document as JSON")
-    p.set_defaults(func=_cmd_move)
-
-    p = sub.add_parser("replay", parents=[shared], help="replay a tower file")
-    p.add_argument("tower")
-    p.set_defaults(func=_cmd_replay)
-
-    p = sub.add_parser(
-        "expand", parents=[shared], help="expand a template side"
-    )
-    p.add_argument("template")
-    p.add_argument("--side", choices=("plus", "minus"), default="plus")
-    p.add_argument(
-        "--assign",
-        action="append",
-        metavar="NAME=WORD",
-        help="block assignment, repeatable",
-    )
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser(
-        "verify-template",
-        parents=[shared],
-        help="sample assignments and compare closure fingerprints",
-    )
-    p.add_argument("template")
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=6)
-    p.set_defaults(func=_cmd_verify_template)
-
-    p = sub.add_parser(
-        "certify",
-        parents=[shared],
-        help="top generator budget certificate for a diagram",
-    )
-    p.add_argument("diagram", help="diagram or template JSON file")
-    p.add_argument("--side", choices=("plus", "minus"), default="plus")
-    p.add_argument("--min-last-count", type=int, required=True)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser(
-        "census", parents=[shared], help="census balance checks"
-    )
-    p.add_argument("census")
-    p.set_defaults(func=_cmd_census)
-
-    p = sub.add_parser(
-        "reduce", parents=[shared], help="search for a reducing tower"
-    )
-    p.add_argument("word")
-    p.add_argument("--node-budget", type=int, default=50_000)
-    p.add_argument("--max-extra-stabilizations", type=int, default=2)
-    p.add_argument("--max-index", type=int, default=16)
-    p.add_argument("--max-word-length", type=int, default=64)
-    p.add_argument("--out", help="write the tower file here")
-    p.set_defaults(func=_cmd_reduce)
-
+    for name, handler, help_text, arguments in _COMMANDS:
+        p = sub.add_parser(name, parents=[shared], help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _Usage as err:

@@ -234,35 +234,17 @@ class ConjugacyReport:
     nodes: int
 
 
-def _conj(x: NormalForm, s: Perm) -> NormalForm:
-    sw = BraidWord(x.index, factor_word(s))
-    return normal_form(
-        free_reduce(concat(inverse(sw), normal_form_word(x), sw))
-    )
+def _conj(x: NormalForm, a: BraidWord) -> NormalForm:
+    # a^-1 x a, normalized again from the word
+    return normal_form(free_reduce(concat(inverse(a), normal_form_word(x), a)))
 
 
-def _cycle_once(x: NormalForm) -> NormalForm:
-    a = concat(
-        normal_form_word(NormalForm(x.index, x.power, ())),
-        BraidWord(x.index, factor_word(x.factors[0])),
-    )
-    return normal_form(
-        free_reduce(concat(inverse(a), normal_form_word(x), a))
-    )
-
-
-def _decycle_once(x: NormalForm) -> NormalForm:
-    a = BraidWord(x.index, factor_word(x.factors[-1]))
-    return normal_form(
-        free_reduce(concat(a, normal_form_word(x), inverse(a)))
-    )
-
-
-def _settle(x: NormalForm, step, gains) -> tuple[NormalForm, bool]:
-    # repeat step, restarting the orbit at each gain, until it revisits
+def _settle(x: NormalForm, conjugator, gains) -> tuple[NormalForm, bool]:
+    # conjugate by conjugator(x), restarting the orbit at each gain,
+    # until it revisits
     seen, gained = {x}, False
     while x.factors:
-        y = step(x)
+        y = _conj(x, conjugator(x))
         if gains(y, x):
             x, seen, gained = y, {y}, True
         elif y in seen:
@@ -274,10 +256,20 @@ def _settle(x: NormalForm, step, gains) -> tuple[NormalForm, bool]:
 
 
 def _summit_representative(x: NormalForm) -> NormalForm:
-    # raise inf by cycling, lower sup by decycling, until both settle
+    # raise inf by cycling (conjugating by D^inf F1), lower sup by
+    # decycling (by the inverse of the last factor), until both settle
+    n = x.index
     while True:
-        x, raised = _settle(x, _cycle_once, lambda y, x: y.inf > x.inf)
-        x, lowered = _settle(x, _decycle_once, lambda y, x: y.sup < x.sup)
+        x, raised = _settle(
+            x,
+            lambda x: normal_form_word(NormalForm(n, x.power, x.factors[:1])),
+            lambda y, x: y.inf > x.inf,
+        )
+        x, lowered = _settle(
+            x,
+            lambda x: inverse(BraidWord(n, factor_word(x.factors[-1]))),
+            lambda y, x: y.sup < x.sup,
+        )
         if not (raised or lowered):
             return x
 
@@ -299,10 +291,13 @@ def conjugacy_test(
     supremum match the summit values; ``v`` is conjugate to ``u``
     exactly when its own summit representative lands in that set.  If
     the set would exceed ``node_cap`` elements the verdict is
-    inconclusive.  The search is deterministic: simples are tried in a
-    fixed order and the frontier is processed first in, first out.
+    inconclusive; a cap below 1 raises ``ValueError``.  The search is
+    deterministic: simples are tried in a fixed order and the frontier
+    is processed first in, first out.
     """
 
+    if node_cap < 1:
+        raise ValueError(f"bad node cap {node_cap}: need at least 1")
     if u.index != v.index:
         raise ValueError(f"strand counts differ: {u.index} versus {v.index}")
     if exponent_sum(u) != exponent_sum(v):
@@ -324,7 +319,7 @@ def conjugacy_test(
         next_frontier: list[NormalForm] = []
         for x in frontier:
             for s in simples:
-                y = _conj(x, s)
+                y = _conj(x, BraidWord(x.index, factor_word(s)))
                 if (y.inf, y.sup) != (nu.inf, nu.sup) or y in seen:
                     continue
                 if y == nv:

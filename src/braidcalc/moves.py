@@ -374,23 +374,36 @@ def move_to_json(move: Move) -> dict:
     raise TypeError(f"not a move: {move!r}")
 
 
+def _int_field(data: dict, key: str, unit: bool = False) -> int:
+    # a JSON integer (bool is an int subclass), and +1 or -1 if unit
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if unit and value not in (1, -1):
+        raise ValueError(f"{key} must be +1 or -1, got {value!r}")
+    return value
+
+
 def move_from_json(data: dict) -> Move:
-    """Decode a move dictionary; unknown kinds raise ``ValueError``."""
+    """Decode a move dictionary; malformed documents raise ``ValueError``.
+
+    Every integer field must be a JSON integer, and ``sign`` and ``eps``
+    must be +1 or -1.
+    """
     kind = data.get("kind")
     if kind == "conjugate":
         return Conjugate(parse_word(data["by"]))
     if kind == "cyclic":
-        return CyclicShift(int(data["k"]))
+        return CyclicShift(_int_field(data, "k"))
     if kind == "stabilize":
-        return Stabilize(int(data["sign"]))
+        return Stabilize(_int_field(data, "sign", unit=True))
     if kind == "destabilize":
-        return Destabilize(int(data["sign"]))
+        return Destabilize(_int_field(data, "sign", unit=True))
     if kind == "exchange":
-        return Exchange(int(data["cut1"]), int(data["cut2"]))
+        return Exchange(_int_field(data, "cut1"), _int_field(data, "cut2"))
     if kind == "flype3":
-        return Flype3(
-            int(data["p"]), int(data["u"]), int(data["q"]), int(data["eps"])
-        )
+        p, u, q = (_int_field(data, key) for key in "puq")
+        return Flype3(p, u, q, _int_field(data, "eps", unit=True))
     raise ValueError(f"unknown move kind: {kind!r}")
 
 

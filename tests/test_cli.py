@@ -1,10 +1,12 @@
 """Command line round trips and pinned text output."""
 
+import argparse
+import hashlib
 import json
 
 import pytest
 
-from braidcalc.cli import main
+from braidcalc.cli import _build_parser, main
 from braidcalc.moves import load_tower, replay
 from braidcalc.templates import dump_template, make_cyclic
 from braidcalc.words import BraidWord, parse_word
@@ -271,6 +273,19 @@ def test_reduce_rejects_bad_budget(capsys):
         ["move", "2: 1", "5"],
         ["verify-template", "exchange_w1", "--samples", "0"],
         ["verify-template", "exchange_w1", "--max-len", "-1"],
+        ["move", "3: 1 2", '{"kind": "stabilize", "sign": 3}'],
+        ["move", "3: 1 2", '{"kind": "stabilize", "sign": true}'],
+        ["move", "3: 1 2", '{"kind": "stabilize", "sign": "1"}'],
+        ["move", "3: 1 2", '{"kind": "cyclic", "k": 1.5}'],
+        [
+            "move",
+            "3: 1 2 1 2",
+            '{"kind": "flype3", "p": 1, "u": 1, "q": 1, "eps": 1.9}',
+        ],
+        ["replay", "{tower}"],
+        ["conj", "3: 1 1 1 -2 -2 1 1 1 1 -2", "3: 1 1 1 -2 1 1 1 1 -2 -2",
+         "--cap", "0"],
+        ["conj", "3: 1", "3: 2", "--cap", "-5"],
     ],
     ids=[
         "verify-template-dir",
@@ -283,15 +298,100 @@ def test_reduce_rejects_bad_budget(capsys):
         "move-int",
         "samples-0",
         "max-len-negative",
+        "move-sign-3",
+        "move-sign-bool",
+        "move-sign-string",
+        "move-k-float",
+        "move-eps-float",
+        "tower-sign-bool",
+        "conj-cap-0",
+        "conj-cap-negative",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     # {dir} is a directory where a file is expected; {list} is a JSON
-    # file holding a list where an object is expected
+    # file holding a list where an object is expected; {tower} is a
+    # tower file whose one step would replay if its sign were decoded
+    # loosely
     listed = tmp_path / "list.json"
     listed.write_text("[]")
-    argv = [a.format(dir=tmp_path, list=listed) for a in argv]
+    tower = tmp_path / "tower.json"
+    step = {"move": {"kind": "stabilize", "sign": True}, "result": "3: 1 2"}
+    tower.write_text(json.dumps({"initial": "2: 1", "steps": [step]}))
+    files = {"{dir}": tmp_path, "{list}": listed, "{tower}": tower}
+    argv = [str(files.get(a, a)) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: bad ")
     assert "Traceback" not in err
+
+
+def _interface(parser):
+    # every subcommand's name and help, and every action's settings
+    def actions(p):
+        return [
+            [
+                a.option_strings,
+                a.dest,
+                a.nargs,
+                repr(a.default),
+                getattr(a.type, "__name__", repr(a.type)),
+                None if a.choices is None else list(a.choices),
+                a.required,
+                a.help,
+                a.metavar,
+                type(a).__name__,
+            ]
+            for a in p._actions
+        ]
+
+    (sub,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return [[parser.prog, parser.description, actions(parser)]] + [
+        [name, helps[name], p.prog, actions(p)]
+        for name, p in sub.choices.items()
+    ]
+
+
+def test_interface_is_pinned():
+    interface = _interface(_build_parser())
+    assert [row[0] for row in interface[1:]] == [
+        "eq",
+        "conj",
+        "nf",
+        "invariants",
+        "move",
+        "replay",
+        "expand",
+        "verify-template",
+        "certify",
+        "census",
+        "reduce",
+    ]
+    dump = json.dumps(interface)
+    assert hashlib.sha256(dump.encode()).hexdigest() == (
+        "c8ca3a7c3edcfcdbbb09a7e9fa2fa17c220b8158236b670f04da159c81461eaf"
+    )
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_calls_share_no_state(capsys):
+    # the parser is reused, so no option may leak into the next call
+    code, _, err = run(capsys, "expand", "flype3_pos", "--assign", "P=2: 1")
+    assert (code, err) == (1, "error: assignment misses blocks: ['Q', 'R']\n")
+    code, _, err = run(capsys, "expand", "flype3_pos")
+    assert (code, err) == (
+        1,
+        "error: assignment misses blocks: ['P', 'Q', 'R']\n",
+    )
+    code, _, _ = run(capsys, "eq", "2: 1", "2: -1", "--expect", "equal")
+    assert code == 1
+    code, out, _ = run(capsys, "eq", "2: 1", "2: -1")
+    assert (code, out) == (0, "not-equal\n")
+    run(capsys, "nf", "3: 1 2 1", "--format", "json")
+    assert run(capsys, "nf", "3: 1 2 1") == (0, "3: D^1\n", "")

@@ -119,6 +119,17 @@ def test_conjugacy_cap_reports_inconclusive():
     assert isinstance(capped, ConjugacyReport)
 
 
+def test_node_cap_below_one_is_rejected():
+    # before any other check, so also on differing strand counts
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="node cap"):
+            conjugacy_test(BraidWord(3, (1,)), BraidWord(3, (2,)), cap)
+        with pytest.raises(ValueError, match="node cap"):
+            conjugacy_test(BraidWord(2, (1,)), BraidWord(3, (1,)), cap)
+    rep = conjugacy_test(BraidWord(3, (1,)), BraidWord(3, (2,)), node_cap=1)
+    assert rep == ConjugacyReport(Verdict.CONJUGATE, 2)
+
+
 def test_key_flype_pair_not_conjugate():
     a = BraidWord(3, (1, 1, 1, -2, -2, 1, 1, 1, 1, -2))
     b = BraidWord(3, (1, 1, 1, -2, 1, 1, 1, 1, -2, -2))

@@ -251,6 +251,31 @@ def test_move_json_round_trip():
         assert move_from_json(json.loads(json.dumps(data))) == move
 
 
+@pytest.mark.parametrize(
+    "data,key",
+    [
+        ({"kind": "cyclic", "k": 2}, "k"),
+        ({"kind": "stabilize", "sign": 1}, "sign"),
+        ({"kind": "destabilize", "sign": -1}, "sign"),
+        ({"kind": "exchange", "cut1": 2, "cut2": 4}, "cut1"),
+        ({"kind": "exchange", "cut1": 2, "cut2": 4}, "cut2"),
+        *[
+            ({"kind": "flype3", "p": 3, "u": -2, "q": 4, "eps": -1}, key)
+            for key in ("p", "u", "q", "eps")
+        ],
+    ],
+)
+def test_move_from_json_wants_integers(data, key):
+    move_from_json(data)
+    for bad in (True, False, 1.0, 1.5, "1", None):
+        with pytest.raises(ValueError, match=key):
+            move_from_json({**data, key: bad})
+    if key in ("sign", "eps"):
+        for bad in (0, 2, -3):
+            with pytest.raises(ValueError, match="must be \\+1 or -1"):
+                move_from_json({**data, key: bad})
+
+
 def test_tower_json_round_trip(tmp_path):
     tower = Tower(BraidWord(2, (1,)))
     tower = extend(tower, Stabilize(1))
