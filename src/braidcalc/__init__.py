@@ -51,12 +51,10 @@ from .moves import (
     Exchange,
     Flype3,
     InvalidSite,
-    PatternMismatch,
     ReplayReport,
     Stabilize,
     Tower,
     TowerStep,
-    apply_flype3,
     apply_move,
     dump_tower,
     extend,
@@ -64,7 +62,6 @@ from .moves import (
     find_exchanges,
     flype_admissibility,
     load_tower,
-    parse_flype3,
     replay,
     stabilize,
 )

@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .words import _int_field
+
 __all__ = [
     "VertexCensus",
     "EdgeCensus",
@@ -208,17 +210,24 @@ def census_to_json(
 
 
 def census_from_json(data: dict) -> tuple[VertexCensus, EdgeCensus, int | None]:
+    """Decode a census; every count must be a JSON integer.
+
+    Missing edge totals are 0, and a missing ``chi`` means none.
+    """
     vc = VertexCensus(
         [
-            ((int(row["a"]), int(row["b"])), int(row["count"]))
+            (
+                (_int_field(row["a"], "a"), _int_field(row["b"], "b")),
+                _int_field(row["count"], "count"),
+            )
             for row in data.get("V", [])
         ]
     )
     ec = EdgeCensus(
-        int(data.get("Ea", 0)), int(data.get("Eb", 0)), int(data.get("Es", 0))
+        *(_int_field(data.get(key, 0), key) for key in ("Ea", "Eb", "Es"))
     )
     chi = data.get("chi")
-    return vc, ec, None if chi is None else int(chi)
+    return vc, ec, None if chi is None else _int_field(chi, "chi")
 
 
 def load_census(path) -> tuple[VertexCensus, EdgeCensus, int | None]:

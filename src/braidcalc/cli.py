@@ -80,8 +80,9 @@ def _word(text: str) -> BraidWord:
 
 @contextlib.contextmanager
 def _document(what: str):
-    # reading or decoding a document from outside the program: any
-    # failure is a usage error (JSONDecodeError is a ValueError)
+    # reading, decoding or writing a document named from outside the
+    # program: any failure is a usage error (JSONDecodeError is a
+    # ValueError)
     try:
         yield
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
@@ -330,7 +331,8 @@ def _cmd_reduce(args) -> int:
     )
     doc = tower_to_json(outcome.best)
     if args.out:
-        dump_tower(outcome.best, args.out)
+        with _document("--out path"):
+            dump_tower(outcome.best, args.out)
         text = summary
     else:
         text = json.dumps(doc) + "\n" + summary

@@ -12,13 +12,14 @@ Moves act on closed braid representatives at the word level:
 * conjugation and cyclic shifts record the braid isotopies between
   the moves above.
 
-Destabilization and the exchange move are deliberately syntactic: they
-fire only when the written word exposes the site.  Conjugating into
-position first is the caller's job, which keeps every move cheap and
-every tower replayable letter by letter.  Each move value is its own
-site: ``find_destabilizations`` and ``find_exchanges`` return the moves
-a word admits, and ``apply_move``, the one applier, checks the site
-again with a single scan of the top generator letters.
+Destabilization, the exchange move and the flype are deliberately
+syntactic: they fire only when the written word exposes the site.
+Conjugating into position first is the caller's job, which keeps every
+move cheap and every tower replayable letter by letter.  Each move value
+is its own site: ``find_destabilizations`` and ``find_exchanges`` return
+the moves a word admits, and ``apply_move``, the one applier, checks the
+site again.  Each move class states its JSON ``kind`` and its site
+check, so the applier and the JSON codecs hold no per-kind code.
 
 A :class:`Tower` stores the starting word and one ``(move, result)``
 pair per step.  ``replay`` re-applies each move, confirms the recorded
@@ -28,11 +29,12 @@ words, and reports the closure fingerprint at every stage.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .invariants import Fingerprint, fingerprint
 from .words import (
     BraidWord,
+    _int_field,
     conjugate,
     format_word,
     parse_word,
@@ -41,7 +43,6 @@ from .words import (
 
 __all__ = [
     "InvalidSite",
-    "PatternMismatch",
     "Conjugate",
     "CyclicShift",
     "Stabilize",
@@ -52,8 +53,6 @@ __all__ = [
     "stabilize",
     "find_destabilizations",
     "find_exchanges",
-    "parse_flype3",
-    "apply_flype3",
     "FlypeArithmetic",
     "flype_admissibility",
     "apply_move",
@@ -75,34 +74,82 @@ class InvalidSite(ValueError):
     """The word no longer matches the requested move site."""
 
 
-class PatternMismatch(ValueError):
-    """The word does not have the literal shape the move requires."""
+def _top_positions(w: BraidWord) -> list[int]:
+    top = w.index - 1
+    return [i for i, g in enumerate(w.letters) if abs(g) == top]
+
+
+def _flype_letters(p: int, u: int, q: int, e: int) -> tuple[int, ...]:
+    # the letters of s1^p s2^u s1^q s2^e
+    return tuple(
+        g if count > 0 else -g
+        for g, count in ((1, p), (2, u), (1, q), (2, e))
+        for _ in range(abs(count))
+    )
 
 
 @dataclass(frozen=True)
 class Conjugate:
     by: BraidWord
+    kind = "conjugate"
+
+    def _apply(self, w: BraidWord) -> BraidWord:
+        return conjugate(w, self.by)
 
 
 @dataclass(frozen=True)
 class CyclicShift:
     k: int
+    kind = "cyclic"
+
+    def _apply(self, w: BraidWord) -> BraidWord:
+        return rotate(w, self.k)
 
 
 @dataclass(frozen=True)
 class Stabilize:
     sign: int
+    kind = "stabilize"
+
+    def _apply(self, w: BraidWord) -> BraidWord:
+        return stabilize(w, self.sign)
 
 
 @dataclass(frozen=True)
 class Destabilize:
     sign: int
+    kind = "destabilize"
+
+    def _apply(self, w: BraidWord) -> BraidWord:
+        # the only top letter, of the move's sign, rotated off the end
+        top = _top_positions(w)
+        if len(top) != 1 or w.letters[top[0]] != self.sign * (w.index - 1):
+            raise InvalidSite(
+                f"no destabilization of sign {self.sign} in {format_word(w)}"
+            )
+        pos = top[0]
+        return BraidWord(w.index - 1, w.letters[pos + 1 :] + w.letters[:pos])
 
 
 @dataclass(frozen=True)
 class Exchange:
     cut1: int
     cut2: int
+    kind = "exchange"
+
+    def _apply(self, w: BraidWord) -> BraidWord:
+        # the only two top letters: positive at cut1, negative at cut2
+        cut1, cut2 = self.cut1, self.cut2
+        if _top_positions(w) != sorted((cut1, cut2)) or not (
+            w.letters[cut1] > 0 > w.letters[cut2]
+        ):
+            raise InvalidSite(
+                f"no exchange at cuts ({cut1}, {cut2}) in {format_word(w)}"
+            )
+        letters = list(w.letters)
+        letters[cut1] = -letters[cut1]
+        letters[cut2] = -letters[cut2]
+        return BraidWord(w.index, letters)
 
 
 @dataclass(frozen=True)
@@ -111,9 +158,29 @@ class Flype3:
     u: int
     q: int
     eps: int
+    kind = "flype3"
+
+    def _apply(self, w: BraidWord) -> BraidWord:
+        # the word must be exactly s1^p s2^u s1^q s2^eps with one final
+        # letter; the length test comes first so that a huge exponent
+        # builds no letters
+        p, u, q, eps = self.p, self.u, self.q, self.eps
+        if (
+            w.index != 3
+            or 0 in (p, u, q)
+            or abs(p) + abs(u) + abs(q) + 1 != len(w.letters)
+            or w.letters != _flype_letters(p, u, q, eps)
+        ):
+            raise InvalidSite(
+                f"no flype with (p, u, q, eps) = ({p}, {u}, {q}, {eps})"
+                f" in {format_word(w)}"
+            )
+        return BraidWord(3, _flype_letters(p, eps, q, u))
 
 
 Move = Conjugate | CyclicShift | Stabilize | Destabilize | Exchange | Flype3
+
+_KINDS = {cls.kind: cls for cls in Move.__args__}
 
 
 def _check_sign(sign: int) -> None:
@@ -125,11 +192,6 @@ def stabilize(w: BraidWord, sign: int) -> BraidWord:
     """Append ``sign * n`` on a fresh strand; index goes up by one."""
     _check_sign(sign)
     return BraidWord(w.index + 1, w.letters + (sign * w.index,))
-
-
-def _top_positions(w: BraidWord) -> list[int]:
-    top = w.index - 1
-    return [i for i, g in enumerate(w.letters) if abs(g) == top]
 
 
 def find_destabilizations(w: BraidWord) -> list[Destabilize]:
@@ -164,53 +226,6 @@ def find_exchanges(w: BraidWord) -> list[Exchange]:
     return [Exchange(a, b) if w.letters[a] > 0 else Exchange(b, a)]
 
 
-def _runs(letters: tuple[int, ...]) -> list[tuple[int, int]]:
-    # maximal runs of one signed letter, as (letter, length)
-    runs: list[tuple[int, int]] = []
-    for g in letters:
-        if runs and runs[-1][0] == g:
-            runs[-1] = (g, runs[-1][1] + 1)
-        else:
-            runs.append((g, 1))
-    return runs
-
-
-def parse_flype3(w: BraidWord) -> tuple[int, int, int, int]:
-    """Match the literal three strand flype pattern.
-
-    Returns ``(p, u, q, eps)`` such that the word is exactly
-    ``s1^p s2^u s1^q s2^eps`` with ``p, u, q`` nonzero and a single
-    final crossing.  Raises :class:`PatternMismatch` otherwise.
-    """
-
-    if w.index != 3:
-        raise PatternMismatch(f"need 3 strands, got {w.index}")
-    runs = _runs(w.letters)
-    if len(runs) != 4:
-        raise PatternMismatch(f"need runs s1 s2 s1 s2, got {len(runs)} runs")
-    (g1, l1), (g2, l2), (g3, l3), (g4, l4) = runs
-    if (abs(g1), abs(g2), abs(g3), abs(g4)) != (1, 2, 1, 2):
-        raise PatternMismatch("runs must alternate generator 1, 2, 1, 2")
-    if l4 != 1:
-        raise PatternMismatch("final crossing must be a single letter")
-    p = l1 if g1 > 0 else -l1
-    u = l2 if g2 > 0 else -l2
-    q = l3 if g3 > 0 else -l3
-    eps = 1 if g4 > 0 else -1
-    return p, u, q, eps
-
-
-def apply_flype3(w: BraidWord) -> BraidWord:
-    """Rewrite ``s1^p s2^u s1^q s2^eps`` as ``s1^p s2^eps s1^q s2^u``."""
-    p, u, q, eps = parse_flype3(w)
-
-    def run(gen: int, count: int) -> list[int]:
-        step = gen if count > 0 else -gen
-        return [step] * abs(count)
-
-    return BraidWord(3, run(1, p) + [eps * 2] + run(1, q) + run(2, u))
-
-
 @dataclass(frozen=True)
 class FlypeArithmetic:
     valid: bool
@@ -237,43 +252,9 @@ def flype_admissibility(w: int, k: int, wp: int, kp: int) -> FlypeArithmetic:
 
 def apply_move(w: BraidWord, move: Move) -> BraidWord:
     """Apply one move to a word, validating its site."""
-    if isinstance(move, Conjugate):
-        return conjugate(w, move.by)
-    if isinstance(move, CyclicShift):
-        return rotate(w, move.k)
-    if isinstance(move, Stabilize):
-        return stabilize(w, move.sign)
-    if isinstance(move, Destabilize):
-        # the only top letter, of the move's sign, rotated off the end
-        top = _top_positions(w)
-        if len(top) != 1 or w.letters[top[0]] != move.sign * (w.index - 1):
-            raise InvalidSite(
-                f"no destabilization of sign {move.sign} in {format_word(w)}"
-            )
-        pos = top[0]
-        return BraidWord(w.index - 1, w.letters[pos + 1 :] + w.letters[:pos])
-    if isinstance(move, Exchange):
-        # the only two top letters: positive at cut1, negative at cut2
-        cut1, cut2 = move.cut1, move.cut2
-        if _top_positions(w) != sorted((cut1, cut2)) or not (
-            w.letters[cut1] > 0 > w.letters[cut2]
-        ):
-            raise InvalidSite(
-                f"no exchange at cuts ({cut1}, {cut2}) in {format_word(w)}"
-            )
-        letters = list(w.letters)
-        letters[cut1] = -letters[cut1]
-        letters[cut2] = -letters[cut2]
-        return BraidWord(w.index, letters)
-    if isinstance(move, Flype3):
-        parsed = parse_flype3(w)
-        if parsed != (move.p, move.u, move.q, move.eps):
-            raise PatternMismatch(
-                f"word parses as {parsed}, move expects"
-                f" ({move.p}, {move.u}, {move.q}, {move.eps})"
-            )
-        return apply_flype3(w)
-    raise TypeError(f"not a move: {move!r}")
+    if not isinstance(move, Move):
+        raise TypeError(f"not a move: {move!r}")
+    return move._apply(w)
 
 
 @dataclass(frozen=True)
@@ -353,35 +334,13 @@ def _report(
 
 def move_to_json(move: Move) -> dict:
     """Encode one move as a JSON-ready dictionary tagged by kind."""
-    if isinstance(move, Conjugate):
-        return {"kind": "conjugate", "by": format_word(move.by)}
-    if isinstance(move, CyclicShift):
-        return {"kind": "cyclic", "k": move.k}
-    if isinstance(move, Stabilize):
-        return {"kind": "stabilize", "sign": move.sign}
-    if isinstance(move, Destabilize):
-        return {"kind": "destabilize", "sign": move.sign}
-    if isinstance(move, Exchange):
-        return {"kind": "exchange", "cut1": move.cut1, "cut2": move.cut2}
-    if isinstance(move, Flype3):
-        return {
-            "kind": "flype3",
-            "p": move.p,
-            "u": move.u,
-            "q": move.q,
-            "eps": move.eps,
-        }
-    raise TypeError(f"not a move: {move!r}")
-
-
-def _int_field(data: dict, key: str, unit: bool = False) -> int:
-    # a JSON integer (bool is an int subclass), and +1 or -1 if unit
-    value = data[key]
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if unit and value not in (1, -1):
-        raise ValueError(f"{key} must be +1 or -1, got {value!r}")
-    return value
+    if not isinstance(move, Move):
+        raise TypeError(f"not a move: {move!r}")
+    data = {"kind": move.kind}
+    for f in fields(move):
+        value = getattr(move, f.name)
+        data[f.name] = format_word(value) if f.name == "by" else value
+    return data
 
 
 def move_from_json(data: dict) -> Move:
@@ -391,20 +350,18 @@ def move_from_json(data: dict) -> Move:
     must be +1 or -1.
     """
     kind = data.get("kind")
-    if kind == "conjugate":
-        return Conjugate(parse_word(data["by"]))
-    if kind == "cyclic":
-        return CyclicShift(_int_field(data, "k"))
-    if kind == "stabilize":
-        return Stabilize(_int_field(data, "sign", unit=True))
-    if kind == "destabilize":
-        return Destabilize(_int_field(data, "sign", unit=True))
-    if kind == "exchange":
-        return Exchange(_int_field(data, "cut1"), _int_field(data, "cut2"))
-    if kind == "flype3":
-        p, u, q = (_int_field(data, key) for key in "puq")
-        return Flype3(p, u, q, _int_field(data, "eps", unit=True))
-    raise ValueError(f"unknown move kind: {kind!r}")
+    # the str test keeps an unhashable kind, such as a list, off the table
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown move kind: {kind!r}")
+    cls = _KINDS[kind]
+    return cls(
+        *(
+            parse_word(data[f.name])
+            if f.name == "by"
+            else _int_field(data[f.name], f.name, f.name in ("sign", "eps"))
+            for f in fields(cls)
+        )
+    )
 
 
 def tower_to_json(tower: Tower) -> dict:

@@ -37,7 +37,7 @@ from pathlib import Path
 
 from .invariants import fingerprint
 from .moves import Conjugate, Destabilize, Stabilize, Tower, extend
-from .words import BraidWord, concat, inverse
+from .words import BraidWord, _int_field, concat, inverse
 
 __all__ = [
     "CoverageError",
@@ -637,12 +637,20 @@ def _entry_to_json(entry: DiagramEntry) -> dict:
 
 
 def _entry_from_json(data: dict) -> DiagramEntry:
+    # the band sign's +1 or -1 is checked by the diagram
     kind = data.get("kind")
     if kind == "band":
-        return Band(int(data["pos"]), int(data["sign"]))
+        return Band(
+            _int_field(data["pos"], "pos"), _int_field(data["sign"], "sign")
+        )
     if kind == "block":
+        name = data["id"]
+        if type(name) is not str:
+            raise ValueError(f"id must be a string, got {name!r}")
         return BlockRef(
-            str(data["id"]), int(data["span"]), int(data.get("pos", 1))
+            name,
+            _int_field(data["span"], "span"),
+            _int_field(data.get("pos", 1), "pos"),
         )
     raise ValueError(f"unknown entry kind: {kind!r}")
 
@@ -659,11 +667,19 @@ def diagram_to_json(d: BlockStrandDiagram) -> dict:
 
 
 def diagram_from_json(data: dict) -> BlockStrandDiagram:
+    """Decode a diagram; malformed documents raise ``ValueError``.
+
+    Every integer must be a JSON integer, a block ``id`` a string and
+    ``post_destabilization`` a JSON bool.
+    """
+    post = data.get("post_destabilization", False)
+    if type(post) is not bool:
+        raise ValueError(f"post_destabilization must be a bool, got {post!r}")
     return BlockStrandDiagram(
-        int(data["n"]),
-        tuple(int(w) for w in data["weights"]),
+        _int_field(data["n"], "n"),
+        tuple(_int_field(w, "weight") for w in data["weights"]),
         tuple(_entry_from_json(e) for e in data["entries"]),
-        bool(data.get("post_destabilization", False)),
+        post,
     )
 
 
@@ -676,8 +692,11 @@ def template_to_json(t: Template) -> dict:
 
 
 def template_from_json(data: dict) -> Template:
+    name = data["name"]
+    if type(name) is not str:
+        raise ValueError(f"name must be a string, got {name!r}")
     return Template(
-        str(data["name"]),
+        name,
         diagram_from_json(data["plus"]),
         diagram_from_json(data["minus"]),
     )
@@ -711,14 +730,29 @@ def catalog(directory=None) -> list[Template]:
     return [load_template(p) for p in paths]
 
 
-def _segment_tower(segments: list[BraidWord], sign: int) -> Tower:
+def _segment_tower(
+    side: BlockStrandDiagram, asg: Assignment, sign: int
+) -> Tower:
     """Stabilize, carry each leading segment around, destabilize.
 
-    The mechanism behind the replayable necklace and six strand towers:
-    the moves record one full trip of the marked strand around the
-    closure, one conjugation per segment it crosses.
+    The side is cut before every block that follows a band, and each
+    segment is expanded on its own.  That equals cutting the side's
+    expansion only when every weight is 1, which this assumes.  The
+    moves record one full trip of the marked strand around the closure,
+    one conjugation per segment it crosses.
     """
 
+    parts: list[list[DiagramEntry]] = [[]]
+    for entry in side.entries:
+        if isinstance(entry, BlockRef) and parts[-1] and isinstance(
+            parts[-1][-1], Band
+        ):
+            parts.append([])
+        parts[-1].append(entry)
+    segments = [
+        expand(BlockStrandDiagram(side.index, side.weights, part), asg)
+        for part in parts
+    ]
     initial = concat(*segments)
     n = initial.index
     tower = Tower(initial)
@@ -739,13 +773,7 @@ def cyclic_tower(k: int, asg: Assignment) -> Tower:
     rotated block by block, the word form of the one step block shift.
     """
 
-    segments = []
-    for i in range(1, k + 1):
-        d = BlockStrandDiagram(
-            k, _units(k), (BlockRef(f"B{i}", 2),) + _carousel(k)
-        )
-        segments.append(expand(d, asg))
-    return _segment_tower(segments, 1)
+    return _segment_tower(make_cyclic(k).plus, asg, 1)
 
 
 def gflype_tower(asg: Assignment) -> Tower:
@@ -756,14 +784,4 @@ def gflype_tower(asg: Assignment) -> Tower:
     strand, and one destabilization back to six strands.
     """
 
-    n = 6
-    parts = (
-        (BlockRef("W", 2), BlockRef("X", 2, 3), Band(5, -1)),
-        (BlockRef("Y", 2), Band(5, 1)),
-        (BlockRef("Z", 2, 3),),
-    )
-    segments = [
-        expand(BlockStrandDiagram(n, _units(n), entries), asg)
-        for entries in parts
-    ]
-    return _segment_tower(segments, -1)
+    return _segment_tower(make_gflype6().plus, asg, -1)

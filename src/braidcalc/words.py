@@ -115,6 +115,16 @@ def parse_word(text: str) -> BraidWord:
     return BraidWord(index, letters)
 
 
+def _int_field(value, name: str, unit: bool = False) -> int:
+    # the one reader of integers in JSON documents: a JSON integer (bool
+    # is an int subclass), and +1 or -1 if unit
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if unit and value not in (1, -1):
+        raise ValueError(f"{name} must be +1 or -1, got {value!r}")
+    return value
+
+
 def format_word(w: BraidWord) -> str:
     """Render a word as ``"n: g1 g2 ... gk"``; an empty word is ``"n:"``."""
     if not w.letters:

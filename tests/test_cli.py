@@ -8,7 +8,12 @@ import pytest
 
 from braidcalc.cli import _build_parser, main
 from braidcalc.moves import load_tower, replay
-from braidcalc.templates import dump_template, make_cyclic
+from braidcalc.templates import (
+    dump_template,
+    make_cyclic,
+    make_destabilize,
+    template_to_json,
+)
 from braidcalc.words import BraidWord, parse_word
 
 
@@ -260,6 +265,41 @@ def test_reduce_rejects_bad_budget(capsys):
     assert code == 2 and err.startswith("error: caps must be positive")
 
 
+def _edited(doc, *changes):
+    # a copy of a JSON document with (path, key, value) changes applied
+    doc = json.loads(json.dumps(doc))
+    for path, key, value in changes:
+        target = doc
+        for step in path:
+            target = target[step]
+        target[key] = value
+    return doc
+
+
+# each a document that a loose decoder reads as a valid one: the
+# destabilize_pos template, where "P=2: 1" expands to "3: 1 2", and a
+# consistent census
+_TEMPLATE = template_to_json(make_destabilize(1))
+_CENSUS = {"V": [{"a": 1, "b": 1, "count": 4}], "Ea": 4, "Eb": 2, "Es": 2}
+_DOCUMENTS = {
+    "{span-float}": _edited(_TEMPLATE, (("plus", "entries", 0), "span", 2.9)),
+    "{sign-bool}": _edited(_TEMPLATE, (("plus", "entries", 1), "sign", True)),
+    "{pos-string}": _edited(_TEMPLATE, (("plus", "entries", 1), "pos", "2")),
+    "{post-string}": _edited(
+        _TEMPLATE, (("minus",), "post_destabilization", "no")
+    ),
+    "{name-int}": _edited(_TEMPLATE, ((), "name", 5)),
+    "{id-int}": _edited(
+        _TEMPLATE,
+        (("plus", "entries", 0), "id", 5),
+        (("minus", "entries", 0), "id", 5),
+    ),
+    "{count-float}": _edited(_CENSUS, (("V", 0), "count", 4.9)),
+    "{es-float}": _edited(_CENSUS, ((), "Es", 2.5)),
+    "{chi-bool}": _edited(_CENSUS, ((), "chi", True)),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -286,6 +326,20 @@ def test_reduce_rejects_bad_budget(capsys):
         ["conj", "3: 1 1 1 -2 -2 1 1 1 1 -2", "3: 1 1 1 -2 1 1 1 1 -2 -2",
          "--cap", "0"],
         ["conj", "3: 1", "3: 2", "--cap", "-5"],
+        *[
+            ["expand", name, "--assign", "P=2: 1"]
+            for name in (
+                "{span-float}",
+                "{sign-bool}",
+                "{pos-string}",
+                "{post-string}",
+                "{name-int}",
+                "{id-int}",
+            )
+        ],
+        *[["census", name] for name in ("{count-float}", "{es-float}",
+                                         "{chi-bool}")],
+        ["reduce", "3: 1 -2", "--out", "{dir}"],
     ],
     ids=[
         "verify-template-dir",
@@ -306,19 +360,32 @@ def test_reduce_rejects_bad_budget(capsys):
         "tower-sign-bool",
         "conj-cap-0",
         "conj-cap-negative",
+        "template-span-float",
+        "template-sign-bool",
+        "template-pos-string",
+        "template-post-string",
+        "template-name-int",
+        "template-id-int",
+        "census-count-float",
+        "census-es-float",
+        "census-chi-bool",
+        "reduce-out-dir",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     # {dir} is a directory where a file is expected; {list} is a JSON
     # file holding a list where an object is expected; {tower} is a
     # tower file whose one step would replay if its sign were decoded
-    # loosely
+    # loosely; the rest are the files of _DOCUMENTS
     listed = tmp_path / "list.json"
     listed.write_text("[]")
     tower = tmp_path / "tower.json"
     step = {"move": {"kind": "stabilize", "sign": True}, "result": "3: 1 2"}
     tower.write_text(json.dumps({"initial": "2: 1", "steps": [step]}))
     files = {"{dir}": tmp_path, "{list}": listed, "{tower}": tower}
+    for number, (name, doc) in enumerate(_DOCUMENTS.items()):
+        files[name] = tmp_path / f"doc{number}.json"
+        files[name].write_text(json.dumps(doc))
     argv = [str(files.get(a, a)) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2

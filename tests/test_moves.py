@@ -1,8 +1,10 @@
 """Move vocabulary: stabilize, destabilize, exchange, 3-braid flype, towers."""
 
 import json
+from itertools import product
 from pathlib import Path
 
+import _moves_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +18,9 @@ from braidcalc.moves import (
     Exchange,
     Flype3,
     InvalidSite,
-    PatternMismatch,
     Stabilize,
     Tower,
     TowerStep,
-    apply_flype3,
     apply_move,
     dump_tower,
     extend,
@@ -30,7 +30,6 @@ from braidcalc.moves import (
     load_tower,
     move_from_json,
     move_to_json,
-    parse_flype3,
     replay,
     stabilize,
     tower_from_json,
@@ -131,23 +130,34 @@ def test_exchange_is_an_involution():
     assert twice == w
 
 
+def flype_sites(w):
+    # every Flype3 with exponents up to the word length that applies
+    exps = [e for e in range(-len(w), len(w) + 1) if e]
+    sites = []
+    for p, u, q, eps in product(exps, exps, exps, (1, -1)):
+        try:
+            apply_move(w, Flype3(p, u, q, eps))
+        except InvalidSite:
+            continue
+        sites.append(Flype3(p, u, q, eps))
+    return sites
+
+
 def test_parse_flype3():
     w = BraidWord(3, (1, 1, 1, -2, -2, 1, 1, 1, 1, -2))
-    assert parse_flype3(w) == (3, -2, 4, -1)
-    assert parse_flype3(BraidWord(3, (1, -2, -2, 1, 1, 2))) == (1, -2, 2, 1)
-    with pytest.raises(PatternMismatch):
-        parse_flype3(BraidWord(3, (1, 1, 2, 2)))
-    with pytest.raises(PatternMismatch):
-        parse_flype3(BraidWord(3, (2, 1, 2, 1)))
-    with pytest.raises(PatternMismatch):
-        parse_flype3(BraidWord(3, (1, 2, 1, 2, 2)))
-    with pytest.raises(PatternMismatch):
-        parse_flype3(BraidWord(4, (1, -2, -2, 1, 1, 2)))
+    assert flype_sites(w) == [Flype3(3, -2, 4, -1)]
+    assert flype_sites(BraidWord(3, (1, -2, -2, 1, 1, 2))) == [
+        Flype3(1, -2, 2, 1)
+    ]
+    assert flype_sites(BraidWord(3, (1, 1, 2, 2))) == []
+    assert flype_sites(BraidWord(3, (2, 1, 2, 1))) == []
+    assert flype_sites(BraidWord(3, (1, 2, 1, 2, 2))) == []
+    assert flype_sites(BraidWord(4, (1, -2, -2, 1, 1, 2))) == []
 
 
 def test_apply_flype3_key_pair():
     w = BraidWord(3, (1, 1, 1, -2, -2, 1, 1, 1, 1, -2))
-    out = apply_flype3(w)
+    out = apply_move(w, Flype3(3, -2, 4, -1))
     assert out == BraidWord(3, (1, 1, 1, -2, 1, 1, 1, 1, -2, -2))
     assert fingerprint(out) == fingerprint(w)
     # the deep flype resists braid isotopy
@@ -156,7 +166,7 @@ def test_apply_flype3_key_pair():
 
 def test_apply_flype3_shallow_instance_is_isotopy():
     w = BraidWord(3, (1, -2, -2, 1, 1, 2))
-    out = apply_flype3(w)
+    out = apply_move(w, Flype3(1, -2, 2, 1))
     assert fingerprint(out) == fingerprint(w)
     assert conjugacy_test(w, out).verdict is Verdict.CONJUGATE
 
@@ -196,8 +206,13 @@ def test_apply_move_dispatch():
         BraidWord(3, (1, -2, -2, 1, 1, 2)), Flype3(1, -2, 2, 1)
     )
     assert flyped == BraidWord(3, (1, 2, 1, 1, -2, -2))
-    with pytest.raises(PatternMismatch):
+    with pytest.raises(InvalidSite) as err:
         apply_move(BraidWord(3, (1, -2, -2, 1, 1, 2)), Flype3(2, -2, 1, 1))
+    assert str(err.value) == (
+        "no flype with (p, u, q, eps) = (2, -2, 1, 1) in 3: 1 -2 -2 1 1 2"
+    )
+    with pytest.raises(TypeError):
+        apply_move(w, "stabilize")
 
 
 def test_tower_construction_and_replay():
@@ -233,7 +248,8 @@ def test_very_simple_tower_matches_the_shallow_flype():
     assert tower.index_profile == (3, 4, 4, 3)
     report = replay(tower)
     assert report.ok and report.constant
-    verdict = conjugacy_test(tower.final, apply_flype3(start)).verdict
+    flyped = apply_move(start, Flype3(1, -2, 2, 1))
+    verdict = conjugacy_test(tower.final, flyped).verdict
     assert verdict is Verdict.CONJUGATE
 
 
@@ -342,6 +358,55 @@ def test_apply_move_accepts_exactly_the_found_sites(w):
         else:
             out = apply_move(w, move)
             assert apply_move(out, find_exchanges(out)[0]) == w
+
+
+def flype_cases():
+    # the word s1^p s2^u s1^q s2^e with small exponents (a zero merges two
+    # runs) on 2 to 4 strands, and the move Flype3(p, u, q, e)
+    def case(n, p, u, q, e):
+        letters = [
+            g if count > 0 else -g
+            for g, count in zip((1, 2, 1, 2), (p, u, q, e)) if g < n
+            for _ in range(abs(count))
+        ]
+        return BraidWord(n, letters), Flype3(p, u, q, e)
+
+    exps = st.integers(-3, 3)
+    return st.builds(
+        case, st.sampled_from((2, 3, 3, 3, 4)), exps, exps, exps,
+        st.integers(-2, 2),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        flype_cases(),
+        st.tuples(
+            small_words(),
+            st.builds(Flype3, *[st.integers(-4, 4)] * 3, st.integers(-2, 2)),
+        ),
+    )
+)
+def test_flype_site_matches_the_old_parser(case):
+    # apply_move takes a Flype3 exactly when the old run parser reads the
+    # word as its parameters, and then rewrites it as the old code did
+    w, move = case
+    try:
+        parsed = oracle.parse_flype3(w)
+    except oracle.PatternMismatch:
+        parsed = None
+    candidates = [move] if parsed is None else [move, Flype3(*parsed)]
+    for i, d in product(range(4), (-1, 1)):
+        near = [move.p, move.u, move.q, move.eps]
+        near[i] += d
+        candidates.append(Flype3(*near))
+    for candidate in candidates:
+        if (candidate.p, candidate.u, candidate.q, candidate.eps) == parsed:
+            assert apply_move(w, candidate) == oracle.apply_flype3(w)
+        else:
+            with pytest.raises(InvalidSite):
+                apply_move(w, candidate)
 
 
 def test_tower_fixture_replays_unchanged(tmp_path):
