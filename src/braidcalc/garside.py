@@ -19,17 +19,21 @@ already left weighted (Epstein et al., *Word Processing in Groups*,
 Conjugacy is decided through super summit sets: cycling raises the
 infimum to its conjugacy maximum, decycling lowers the supremum to its
 minimum, and the set of all conjugates with those extremal values is
-closed under conjugation by permutation braids.  Two elements are
-conjugate exactly when their super summit sets coincide.  The search
-explores that set with a node cap and reports an inconclusive verdict
-if the cap is exceeded.
+connected under conjugation by its minimal simple elements: for each
+generator, the least permutation braid above it that keeps a conjugate
+in the set (Franco and Gonzalez-Meneses, J. Algebra 266, 2003).  Each
+element has at most ``n - 1`` of them.  Two elements are conjugate
+exactly when their super summit sets coincide.  The search explores
+that set with a node cap and reports an inconclusive verdict if the
+cap is exceeded.  Every conjugation keeps the half twists out of the
+word it normalizes: ``a^-1 D^p A a`` is ``D^p tau^p(a)^-1 A a``, with
+``tau`` the flip ``sigma_i -> sigma_(n-i)``.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .words import (
@@ -59,10 +63,6 @@ DEFAULT_NODE_CAP = 10_000
 
 Perm = tuple[int, ...]
 Entry = tuple[Perm, int, int]  # permutation, left/right-divisor masks
-
-
-def _identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
 
 
 def _half_twist(n: int) -> Perm:
@@ -228,23 +228,61 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class ConjugacyReport:
-    """Outcome of a conjugacy test plus the node count the search used."""
+    """Outcome of a conjugacy test plus the node count the search used.
+
+    ``nodes`` is 0 when an invariant (exponent sum, permutation cycle
+    type) separated the pair, and 2 when the two summit representatives
+    decided it.  Otherwise it is the number of super-summit-set
+    elements the search stored, plus one when it found the second
+    representative.
+    """
 
     verdict: Verdict
     nodes: int
 
 
+def _flip(p: Perm, k: int) -> Perm:
+    # tau^k, conjugation by D^k: strand i becomes strand n + 1 - i
+    n = len(p)
+    return tuple(n + 1 - p[n - 1 - i] for i in range(n)) if k % 2 else p
+
+
+def _flip_word(w: BraidWord, k: int) -> BraidWord:
+    # tau^k on letters: sigma_g becomes sigma_(n-g)
+    n = w.index
+    if k % 2:
+        w = BraidWord(n, [-n - g if g < 0 else n - g for g in w.letters])
+    return w
+
+
 def _conj(x: NormalForm, a: BraidWord) -> NormalForm:
-    # a^-1 x a, normalized again from the word
-    return normal_form(free_reduce(concat(inverse(a), normal_form_word(x), a)))
+    # a^-1 x a = D^p tau^p(a)^-1 A a for x = D^p A, so only the part
+    # without half twists is spelled out and normalized
+    n, p = x.index, x.power
+    body = normal_form_word(NormalForm(n, 0, x.factors))
+    word = concat(inverse(_flip_word(a, p)), body, a)
+    nf = normal_form(free_reduce(word))
+    return NormalForm(n, nf.power + p, nf.factors)
 
 
-def _settle(x: NormalForm, conjugator, gains) -> tuple[NormalForm, bool]:
-    # conjugate by conjugator(x), restarting the orbit at each gain,
-    # until it revisits
+def _cycle(x: NormalForm) -> NormalForm:
+    # conjugation by D^p F1: tau^p on the factors, then by F1, spelled
+    # as the flip of tau^p(F1)'s word so that _conj cancels it
+    n, p = x.index, x.power
+    y = NormalForm(n, p, tuple(_flip(f, p) for f in x.factors))
+    return _conj(y, _flip_word(BraidWord(n, factor_word(y.factors[0])), p))
+
+
+def _decycle(x: NormalForm) -> NormalForm:
+    # conjugation by the inverse of the last factor
+    return _conj(x, inverse(BraidWord(x.index, factor_word(x.factors[-1]))))
+
+
+def _settle(x: NormalForm, step, gains) -> tuple[NormalForm, bool]:
+    # apply step, restarting the orbit at each gain, until it revisits
     seen, gained = {x}, False
     while x.factors:
-        y = _conj(x, conjugator(x))
+        y = step(x)
         if gains(y, x):
             x, seen, gained = y, {y}, True
         elif y in seen:
@@ -256,27 +294,67 @@ def _settle(x: NormalForm, conjugator, gains) -> tuple[NormalForm, bool]:
 
 
 def _summit_representative(x: NormalForm) -> NormalForm:
-    # raise inf by cycling (conjugating by D^inf F1), lower sup by
-    # decycling (by the inverse of the last factor), until both settle
-    n = x.index
+    # raise inf by cycling, lower sup by decycling, until both settle
     while True:
-        x, raised = _settle(
-            x,
-            lambda x: normal_form_word(NormalForm(n, x.power, x.factors[:1])),
-            lambda y, x: y.inf > x.inf,
-        )
-        x, lowered = _settle(
-            x,
-            lambda x: inverse(BraidWord(n, factor_word(x.factors[-1]))),
-            lambda y, x: y.sup < x.sup,
-        )
+        x, raised = _settle(x, _cycle, lambda y, x: y.inf > x.inf)
+        x, lowered = _settle(x, _decycle, lambda y, x: y.sup < x.sup)
         if not (raised or lowered):
             return x
 
 
-def _all_simples(n: int) -> list[Perm]:
-    identity = _identity(n)
-    return [p for p in itertools.permutations(identity) if p != identity]
+def _lcm(s: Perm, t: Perm) -> Perm:
+    # s v t for permutation braids.  Call i < j inverted in the inverse
+    # q of a simple when q[i] > q[j], as _descents(_inv(f)) does for
+    # adjacent pairs: s left-divides t exactly when t's inverted pairs
+    # hold s's, and those of s v t are the transitive closure of both
+    n = len(s)
+    qs, qt = _inv(s), _inv(t)
+    after = [0] * n  # bit j of after[i]: the pair (i, j) is inverted
+    for i in range(n - 2, -1, -1):
+        for j in range(i + 1, n):
+            if qs[i] > qs[j] or qt[i] > qt[j]:
+                after[i] |= 1 << j | after[j]
+    # q[i] counts the entries it must exceed: inverted ones after it,
+    # uninverted ones before it
+    q = [
+        1 + after[i].bit_count() + sum(not after[j] >> i & 1 for j in range(i))
+        for i in range(n)
+    ]
+    return _inv(tuple(q))
+
+
+def _inverse(x: NormalForm) -> NormalForm:
+    # x^-1 = D^(-p-r) y_r ... y_1 with y_i = tau^(p+i)(x_i^-1 D), a
+    # left normal form as it stands
+    n, p = x.index, x.power
+    w0 = _half_twist(n)
+    ys = [_flip(_mul(_inv(f), w0), p + i) for i, f in enumerate(x.factors, 1)]
+    return NormalForm(n, -p - len(ys), tuple(reversed(ys)))
+
+
+def _phi(s: Perm, y: NormalForm) -> Perm:
+    # s v c with c the least simple such that tau^q(s) left-divides
+    # y1 ... yr c, for y = D^q y1 ... yr; c_k = y_k^-1 (c_(k-1) v y_k)
+    c = _flip(s, y.power)
+    for f in y.factors:
+        c = _mul(_inv(f), _lcm(c, f))
+    return _lcm(s, c)
+
+
+def _minimal_simples(x: NormalForm) -> list[Perm]:
+    # for each generator sigma_i, the least simple s above it with x^s
+    # in the super summit set of x, which holds x.  phi_x(s) = s exactly
+    # when conjugating by s keeps the infimum, and phi is monotone with
+    # D a fixpoint, so iterating from sigma_i stops at the least one
+    n, xi = x.index, _inverse(x)
+    out: list[Perm] = []
+    for i in range(1, n):
+        s = _tau(i, n)
+        while (t := _phi(_phi(s, x), xi)) != s:
+            s = t
+        if s not in out:
+            out.append(s)
+    return out
 
 
 def conjugacy_test(
@@ -286,14 +364,14 @@ def conjugacy_test(
 
     Cheap invariants run first: exponent sum and the cycle type of the
     endpoint permutation both separate non-conjugate pairs at no cost.
-    Otherwise the super summit set of ``u`` is enumerated, conjugating
-    by every permutation braid and keeping elements whose infimum and
-    supremum match the summit values; ``v`` is conjugate to ``u``
-    exactly when its own summit representative lands in that set.  If
-    the set would exceed ``node_cap`` elements the verdict is
-    inconclusive; a cap below 1 raises ``ValueError``.  The search is
-    deterministic: simples are tried in a fixed order and the frontier
-    is processed first in, first out.
+    Otherwise the super summit set of ``u`` is enumerated breadth
+    first, conjugating each element by its minimal simple elements;
+    ``v`` is conjugate to ``u`` exactly when its own summit
+    representative lands in that set.  If the set would exceed
+    ``node_cap`` elements the verdict is inconclusive; a cap below 1
+    raises ``ValueError``.  The search is deterministic: an element's
+    minimal simples are tried in the order of the generators they sit
+    above, and the frontier is processed first in, first out.
     """
 
     if node_cap < 1:
@@ -312,15 +390,14 @@ def conjugacy_test(
     if nu == nv:
         return ConjugacyReport(Verdict.CONJUGATE, 2)
 
-    simples = _all_simples(u.index)
     seen = {nu}
     frontier = [nu]
     while frontier:
         next_frontier: list[NormalForm] = []
         for x in frontier:
-            for s in simples:
+            for s in _minimal_simples(x):
                 y = _conj(x, BraidWord(x.index, factor_word(s)))
-                if (y.inf, y.sup) != (nu.inf, nu.sup) or y in seen:
+                if y in seen:
                     continue
                 if y == nv:
                     return ConjugacyReport(Verdict.CONJUGATE, len(seen) + 1)

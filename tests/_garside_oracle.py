@@ -1,24 +1,53 @@
-"""Reference left normal form: the original quadratic algorithm.
+"""Reference Garside algorithms, kept as differential oracles.
 
-Used by the tests as a differential oracle for
-:func:`braidcalc.garside.normal_form`; no production code imports this.
-Every negative letter re-flips all earlier factors by the half twist,
-and left-weighting repeats full passes over the factor list until no
-pair changes.  Slow, but simple enough to trust.
+Used by the tests; no production code imports this.
+
+:func:`normal_form` is the original quadratic algorithm, the oracle for
+:func:`braidcalc.garside.normal_form`.  Every negative letter re-flips
+all earlier factors by the half twist, and left-weighting repeats full
+passes over the factor list until no pair changes.  Slow, but simple
+enough to trust.
+
+:func:`conjugacy_test` is the original super-summit-set walk, the oracle
+for :func:`braidcalc.garside.conjugacy_test`.  It conjugates every node
+by all ``n! - 1`` permutation braids, spelling the half twists out in
+every conjugation word, and keeps the conjugates whose infimum and
+supremum match the summit values.  It normalizes with the production
+:func:`braidcalc.garside.normal_form`, which the quadratic oracle above
+checks on its own.
 """
 
 from __future__ import annotations
 
+import itertools
+
+from braidcalc import garside
 from braidcalc.garside import (
+    DEFAULT_NODE_CAP,
+    ConjugacyReport,
     NormalForm,
     Perm,
+    Verdict,
     _half_twist,
-    _identity,
     _inv,
     _mul,
     _tau,
+    factor_word,
+    normal_form_word,
 )
-from braidcalc.words import BraidWord
+from braidcalc.words import (
+    BraidWord,
+    concat,
+    cycle_type,
+    exponent_sum,
+    free_reduce,
+    inverse,
+    permutation,
+)
+
+
+def _identity(n: int) -> Perm:
+    return tuple(range(1, n + 1))
 
 
 def _flip(p: Perm) -> Perm:
@@ -83,3 +112,103 @@ def _left_weight(factors: list[Perm], n: int) -> list[Perm]:
         if changed:
             factors = [f for f in factors if f != identity]
     return factors
+
+
+def _conj(x: NormalForm, a: BraidWord) -> NormalForm:
+    # a^-1 x a, normalized again from the word
+    word = concat(inverse(a), normal_form_word(x), a)
+    return garside.normal_form(free_reduce(word))
+
+
+def _settle(x: NormalForm, conjugator, gains) -> tuple[NormalForm, bool]:
+    # conjugate by conjugator(x), restarting the orbit at each gain,
+    # until it revisits
+    seen, gained = {x}, False
+    while x.factors:
+        y = _conj(x, conjugator(x))
+        if gains(y, x):
+            x, seen, gained = y, {y}, True
+        elif y in seen:
+            break
+        else:
+            seen.add(y)
+            x = y
+    return x, gained
+
+
+def _summit_representative(x: NormalForm) -> NormalForm:
+    # raise inf by cycling (conjugating by D^inf F1), lower sup by
+    # decycling (by the inverse of the last factor), until both settle
+    n = x.index
+    while True:
+        x, raised = _settle(
+            x,
+            lambda x: normal_form_word(NormalForm(n, x.power, x.factors[:1])),
+            lambda y, x: y.inf > x.inf,
+        )
+        x, lowered = _settle(
+            x,
+            lambda x: inverse(BraidWord(n, factor_word(x.factors[-1]))),
+            lambda y, x: y.sup < x.sup,
+        )
+        if not (raised or lowered):
+            return x
+
+
+def _all_simples(n: int) -> list[Perm]:
+    identity = _identity(n)
+    return [p for p in itertools.permutations(identity) if p != identity]
+
+
+def conjugacy_test(
+    u: BraidWord, v: BraidWord, node_cap: int = DEFAULT_NODE_CAP
+) -> ConjugacyReport:
+    """Decide conjugacy of two words on the same strand count.
+
+    Cheap invariants run first: exponent sum and the cycle type of the
+    endpoint permutation both separate non-conjugate pairs at no cost.
+    Otherwise the super summit set of ``u`` is enumerated, conjugating
+    by every permutation braid and keeping elements whose infimum and
+    supremum match the summit values; ``v`` is conjugate to ``u``
+    exactly when its own summit representative lands in that set.  If
+    the set would exceed ``node_cap`` elements the verdict is
+    inconclusive; a cap below 1 raises ``ValueError``.  The search is
+    deterministic: simples are tried in a fixed order and the frontier
+    is processed first in, first out.
+    """
+
+    if node_cap < 1:
+        raise ValueError(f"bad node cap {node_cap}: need at least 1")
+    if u.index != v.index:
+        raise ValueError(f"strand counts differ: {u.index} versus {v.index}")
+    if exponent_sum(u) != exponent_sum(v):
+        return ConjugacyReport(Verdict.NOT_CONJUGATE, 0)
+    if cycle_type(permutation(u)) != cycle_type(permutation(v)):
+        return ConjugacyReport(Verdict.NOT_CONJUGATE, 0)
+
+    nu = _summit_representative(garside.normal_form(u))
+    nv = _summit_representative(garside.normal_form(v))
+    if (nu.inf, nu.sup) != (nv.inf, nv.sup):
+        return ConjugacyReport(Verdict.NOT_CONJUGATE, 2)
+    if nu == nv:
+        return ConjugacyReport(Verdict.CONJUGATE, 2)
+
+    simples = _all_simples(u.index)
+    seen = {nu}
+    frontier = [nu]
+    while frontier:
+        next_frontier: list[NormalForm] = []
+        for x in frontier:
+            for s in simples:
+                y = _conj(x, BraidWord(x.index, factor_word(s)))
+                if (y.inf, y.sup) != (nu.inf, nu.sup) or y in seen:
+                    continue
+                if y == nv:
+                    return ConjugacyReport(Verdict.CONJUGATE, len(seen) + 1)
+                if len(seen) >= node_cap:
+                    return ConjugacyReport(Verdict.INCONCLUSIVE, len(seen))
+                seen.add(y)
+                next_frontier.append(y)
+        frontier = next_frontier
+    return ConjugacyReport(Verdict.NOT_CONJUGATE, len(seen))
+

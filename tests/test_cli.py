@@ -3,6 +3,8 @@
 import argparse
 import hashlib
 import json
+import random
+import time
 
 import pytest
 
@@ -14,7 +16,7 @@ from braidcalc.templates import (
     make_destabilize,
     template_to_json,
 )
-from braidcalc.words import BraidWord, parse_word
+from braidcalc.words import BraidWord, conjugate, format_word, parse_word
 
 
 def run(capsys, *argv):
@@ -57,6 +59,27 @@ def test_conj(capsys):
         capsys, "conj", "3: 1", "3: -1", "--expect", "conjugate"
     )
     assert code == 1
+
+
+def test_conj_on_twelve_strands_is_bounded(capsys):
+    # each summit-set element is conjugated by at most n - 1 simples, so
+    # the cap bounds the work; a walk over all n! - 1 simples would list
+    # 479,001,599 of them before storing the first element
+    rng = random.Random("twelve-strands")
+
+    def letter():
+        return rng.choice((1, -1)) * rng.randint(1, 11)
+
+    u = BraidWord(12, [letter() for _ in range(24)])
+    v = conjugate(u, BraidWord(12, [letter() for _ in range(6)]))
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "conj", format_word(u), format_word(v), "--cap", "50"
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.split()[0] in ("conjugate", "inconclusive")
+    assert elapsed < 5.0, f"{elapsed:.2f} s"
 
 
 def test_conj_json_reports_nodes(capsys):

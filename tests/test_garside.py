@@ -1,5 +1,7 @@
 """Normal forms and the conjugacy oracle."""
 
+import itertools
+import random
 import time
 
 import _garside_oracle as oracle
@@ -8,6 +10,7 @@ from _handles import equal_twin, is_trivial_word
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidcalc import garside
 from braidcalc.garside import (
     ConjugacyReport,
     Verdict,
@@ -18,13 +21,17 @@ from braidcalc.garside import (
     normal_form_word,
     words_equal,
 )
+from braidcalc.invariants import fingerprint
 from braidcalc.words import (
     BraidWord,
     concat,
     conjugate,
+    cycle_type,
+    exponent_sum,
     free_reduce,
     inverse,
     parse_word,
+    permutation,
 )
 
 
@@ -198,3 +205,145 @@ def test_normal_form_is_fast_at_large_strand_counts():
     assert nf == normal_form(parse_word("300: 2 -3"))
     assert (nf.inf, nf.sup) == (-1, 1)
     assert elapsed < 3.0, f"{elapsed:.2f} s"
+
+
+def random_word(rng, n, length):
+    return BraidWord(
+        n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]
+    )
+
+
+def summit_bounds(w):
+    x = garside._summit_representative(normal_form(w))
+    return x.inf, x.sup
+
+
+def random_pair(rng, n, length, conjugate_pair):
+    """A pair that the cheap invariants cannot tell apart.
+
+    Conjugate: ``v = x^-1 u x``.  Otherwise ``v`` shares ``u``'s exponent
+    sum and permutation cycle type.  Up to four strands it also shares
+    the summit infimum and supremum, so that only the walk can separate
+    the pair; on five strands it must instead differ in the closure
+    fingerprint, which certifies that it is not conjugate.
+    """
+    while True:
+        u = random_word(rng, n, length)
+        if conjugate_pair:
+            x = random_word(rng, n, rng.randint(1, 5))
+            return u, free_reduce(concat(inverse(x), u, x))
+        v = random_word(rng, n, length)
+        if exponent_sum(u) != exponent_sum(v):
+            continue
+        if cycle_type(permutation(u)) != cycle_type(permutation(v)):
+            continue
+        if n < 5 and summit_bounds(u) == summit_bounds(v):
+            return u, v
+        if n == 5 and fingerprint(u) != fingerprint(v):
+            return u, v
+
+
+def test_conjugacy_matches_the_all_simples_walk():
+    # up to four strands the old walk decides every pair; both walks
+    # store the whole super summit set on a not-conjugate pair, so the
+    # node counts agree there.  Five-strand answers are known by
+    # construction.
+    rng = random.Random("conjugacy-differential")
+    for k in range(300):
+        n = (3, 4, 5)[k % 3]
+        conjugate_pair = k % 2 == 0
+        length = rng.randint(4, 12) if n < 5 else rng.randint(7, 9)
+        u, v = random_pair(rng, n, length, conjugate_pair)
+        rep = conjugacy_test(u, v)
+        if n == 5:
+            expected = (
+                Verdict.CONJUGATE if conjugate_pair else Verdict.NOT_CONJUGATE
+            )
+            assert rep.verdict is expected, (u, v)
+            continue
+        old = oracle.conjugacy_test(u, v)
+        assert rep.verdict is old.verdict, (u, v)
+        if old.verdict is Verdict.NOT_CONJUGATE:
+            assert rep.nodes == old.nodes, (u, v)
+
+
+def length(p):
+    return sum(a > b for a, b in itertools.combinations(p, 2))
+
+
+def left_divides(s, t):
+    # s t' = t with lengths adding
+    return length(s) + length(garside._mul(garside._inv(s), t)) == length(t)
+
+
+def test_lcm_is_the_least_common_multiple():
+    rng = random.Random("lcm")
+    for n in (2, 3, 4, 5):
+        simples = list(itertools.permutations(range(1, n + 1)))
+        pairs = itertools.product(simples, repeat=2)
+        if n == 5:
+            pairs = [
+                (rng.choice(simples), rng.choice(simples)) for _ in range(200)
+            ]
+        for s, t in pairs:
+            m = garside._lcm(s, t)
+            common = [
+                c for c in simples if left_divides(s, c) and left_divides(t, c)
+            ]
+            assert m in common, (s, t)
+            assert all(left_divides(m, c) for c in common), (s, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words(max_index=5, max_len=14))
+def test_summit_representative_matches_the_oracle(w):
+    # the conjugations spell no half twists but reach the same elements
+    nf = normal_form(w)
+    rep = garside._summit_representative(nf)
+    assert rep == oracle._summit_representative(nf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(words(max_index=6, max_len=20))
+def test_inverse_normal_form_from_the_factors(w):
+    assert garside._inverse(normal_form(w)) == normal_form(inverse(w))
+
+
+def test_minimal_simples_match_brute_force():
+    # against every permutation braid: for each generator, the least
+    # simple above it that keeps the conjugate in the super summit set,
+    # each listed once, in generator order
+    rng = random.Random("minimal-simples")
+    for n in (3, 4, 5):
+        simples = list(itertools.permutations(range(1, n + 1)))[1:]
+        for _ in range(30 if n < 5 else 12):
+            w = random_word(rng, n, rng.randint(2, 12))
+            x = oracle._summit_representative(normal_form(w))
+            good = []
+            for s in simples:
+                y = oracle._conj(x, BraidWord(n, factor_word(s)))
+                if (y.inf, y.sup) == (x.inf, x.sup):
+                    good.append(s)
+            expected = []
+            for i in range(1, n):
+                generator = garside._tau(i, n)
+                above = [s for s in good if left_divides(generator, s)]
+                least = [
+                    s for s in above if all(left_divides(s, t) for t in above)
+                ]
+                assert len(least) == 1
+                if least[0] not in expected:
+                    expected.append(least[0])
+            assert garside._minimal_simples(x) == expected, w
+
+
+def test_five_strand_summit_set_walk_is_fast():
+    # 388 elements in the super summit set, counted by the old walk,
+    # which took over half a minute; the fingerprints differ
+    u = BraidWord(5, (2, -3, 2, -3, -4, 4, -3, 1, -3, -3, -4, -2))
+    v = BraidWord(5, (-2, -4, -4, -1, -1, 2, -4, 3, -1, 1, 1, -2))
+    start = time.perf_counter()
+    rep = conjugacy_test(u, v)
+    elapsed = time.perf_counter() - start
+    assert rep == ConjugacyReport(Verdict.NOT_CONJUGATE, 388)
+    assert elapsed < 10.0, f"{elapsed:.2f} s"
