@@ -53,6 +53,7 @@ from .templates import (
     diagram_from_json,
     expand,
     load_template,
+    non_carry_certificate,
     sample_assignment,
     sigma_budget,
     verify_template,
@@ -267,7 +268,7 @@ def _cmd_certify(args) -> int:
         budget = sigma_budget(diagram)
     except BlockOnLastStrand as err:
         raise _Failure(str(err)) from err
-    certified = budget < args.min_last_count
+    certified = non_carry_certificate(diagram, args.min_last_count)
     payload = {
         "sigma_budget": budget,
         "required": args.min_last_count,

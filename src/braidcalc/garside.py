@@ -25,9 +25,11 @@ in the set (Franco and Gonzalez-Meneses, J. Algebra 266, 2003).  Each
 element has at most ``n - 1`` of them.  Two elements are conjugate
 exactly when their super summit sets coincide.  The search explores
 that set with a node cap and reports an inconclusive verdict if the
-cap is exceeded.  Every conjugation keeps the half twists out of the
-word it normalizes: ``a^-1 D^p A a`` is ``D^p tau^p(a)^-1 A a``, with
-``tau`` the flip ``sigma_i -> sigma_(n-i)``.
+cap is exceeded.  Each conjugation of ``x = D^p F1 ... Fm`` normalizes
+one positive product of simples, ``tau`` being the flip of ``sigma_i``
+to ``sigma_(n-i)``: ``D^(p-1) tau^(p+1)(s^-1 D) F1 ... Fm s`` by a
+simple ``s``, ``D^p tau^p(F2) ... tau^p(Fm) F1`` when cycling and
+``D^p tau^p(Fm) F1 ... F(m-1)`` when decycling.
 """
 
 from __future__ import annotations
@@ -36,15 +38,7 @@ import enum
 import functools
 from dataclasses import dataclass
 
-from .words import (
-    BraidWord,
-    concat,
-    cycle_type,
-    exponent_sum,
-    free_reduce,
-    inverse,
-    permutation,
-)
+from .words import BraidWord, cycle_type, exponent_sum, permutation
 
 __all__ = [
     "NormalForm",
@@ -231,10 +225,10 @@ class ConjugacyReport:
     """Outcome of a conjugacy test plus the node count the search used.
 
     ``nodes`` is 0 when an invariant (exponent sum, permutation cycle
-    type) separated the pair, and 2 when the two summit representatives
-    decided it.  Otherwise it is the number of super-summit-set
-    elements the search stored, plus one when it found the second
-    representative.
+    type) separated the pair.  Otherwise it is the number of
+    super-summit-set elements the search stored, plus one when it found
+    the second representative, and 2 also when the two summit
+    representatives decided alone: 2 does not say whether the walk ran.
     """
 
     verdict: Verdict
@@ -247,35 +241,30 @@ def _flip(p: Perm, k: int) -> Perm:
     return tuple(n + 1 - p[n - 1 - i] for i in range(n)) if k % 2 else p
 
 
-def _flip_word(w: BraidWord, k: int) -> BraidWord:
-    # tau^k on letters: sigma_g becomes sigma_(n-g)
-    n = w.index
-    if k % 2:
-        w = BraidWord(n, [-n - g if g < 0 else n - g for g in w.letters])
-    return w
+def _product(n: int, q: int, simples) -> NormalForm:
+    # D^q times the normal form of the positive word the simples spell:
+    # the one place conjugation turns factors into letters
+    letters = [g for f in simples for g in factor_word(f)]
+    nf = normal_form(BraidWord(n, letters))
+    return NormalForm(n, nf.power + q, nf.factors)
 
 
-def _conj(x: NormalForm, a: BraidWord) -> NormalForm:
-    # a^-1 x a = D^p tau^p(a)^-1 A a for x = D^p A, so only the part
-    # without half twists is spelled out and normalized
-    n, p = x.index, x.power
-    body = normal_form_word(NormalForm(n, 0, x.factors))
-    word = concat(inverse(_flip_word(a, p)), body, a)
-    nf = normal_form(free_reduce(word))
-    return NormalForm(n, nf.power + p, nf.factors)
+def _conj(x: NormalForm, s: Perm) -> NormalForm:
+    # s^-1 D^p A s = D^(p-1) tau^(p+1)(s^-1 D) A s, all of it positive
+    top = _flip(_mul(_inv(s), _half_twist(x.index)), x.power + 1)
+    return _product(x.index, x.power - 1, (top, *x.factors, s))
 
 
 def _cycle(x: NormalForm) -> NormalForm:
-    # conjugation by D^p F1: tau^p on the factors, then by F1, spelled
-    # as the flip of tau^p(F1)'s word so that _conj cancels it
-    n, p = x.index, x.power
-    y = NormalForm(n, p, tuple(_flip(f, p) for f in x.factors))
-    return _conj(y, _flip_word(BraidWord(n, factor_word(y.factors[0])), p))
+    # conjugation by D^p F1
+    rest = [_flip(f, x.power) for f in x.factors[1:]]
+    return _product(x.index, x.power, (*rest, x.factors[0]))
 
 
 def _decycle(x: NormalForm) -> NormalForm:
     # conjugation by the inverse of the last factor
-    return _conj(x, inverse(BraidWord(x.index, factor_word(x.factors[-1]))))
+    last = _flip(x.factors[-1], x.power)
+    return _product(x.index, x.power, (last, *x.factors[:-1]))
 
 
 def _settle(x: NormalForm, step, gains) -> tuple[NormalForm, bool]:
@@ -396,7 +385,7 @@ def conjugacy_test(
         next_frontier: list[NormalForm] = []
         for x in frontier:
             for s in _minimal_simples(x):
-                y = _conj(x, BraidWord(x.index, factor_word(s)))
+                y = _conj(x, s)
                 if y in seen:
                     continue
                 if y == nv:

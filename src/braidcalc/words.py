@@ -88,24 +88,19 @@ def parse_word(text: str) -> BraidWord:
     head, sep, tail = text.partition(":")
     if not sep:
         raise WordFormatError("missing ':' after strand count", 1, 1)
-    stripped = head.strip()
-    if not stripped or not _is_int(stripped):
-        raise WordFormatError(
-            "strand count must be a positive integer", *_position(text, head, 0)
-        )
-    index = int(stripped)
-    if index < 1:
+    index = _int_token(head.strip())
+    if index is None or index < 1:
         raise WordFormatError(
             "strand count must be a positive integer", *_position(text, head, 0)
         )
     letters = []
     offset = len(head) + 1
     for token, start in _tokens(tail, offset):
-        if not _is_int(token):
+        g = _int_token(token)
+        if g is None:
             raise WordFormatError(
-                f"bad letter {token!r}", *_position(text, token, start)
+                f"bad letter {token[:20]!r}", *_position(text, token, start)
             )
-        g = int(token)
         if g == 0 or abs(g) > index - 1:
             raise WordFormatError(
                 f"letter {g} is out of range for {index} strands",
@@ -132,9 +127,15 @@ def format_word(w: BraidWord) -> str:
     return f"{w.index}: " + " ".join(str(g) for g in w.letters)
 
 
-def _is_int(token: str) -> bool:
+def _int_token(token: str) -> int | None:
+    # a signed run of ASCII digits short enough for int(), else None
     body = token[1:] if token[:1] in "+-" else token
-    return body.isdigit()
+    if not (body.isascii() and body.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _tokens(text: str, offset: int):

@@ -118,10 +118,35 @@ def test_invariants_pinned(capsys):
     }
 
 
-def test_parse_error_exit_2(capsys):
-    code, _, err = run(capsys, "nf", "3: 1 1 1 -2 4")
+_DIGITS = "1" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        (("nf", "3: 1 1 1 -2 4"), 13),
+        (("nf", "3: \u00b2"), 4),
+        (("nf", "3: \u0661"), 4),
+        (("eq", "3: 1", "3: 1 \u00b3"), 6),
+        (("nf", "3: " + _DIGITS), 4),
+        (("nf", _DIGITS + ": 1"), 1),
+        (("expand", "cyclic4", "--assign", "P=3: \u00b2"), 4),
+    ],
+    ids=[
+        "late-letter",
+        "superscript-letter",
+        "arabic-indic-letter",
+        "eq-superscript",
+        "long-letter",
+        "long-strand-count",
+        "assign-superscript",
+    ],
+)
+def test_parse_error_exit_2(capsys, argv, column):
+    code, _, err = run(capsys, *argv)
     assert code == 2
-    assert "line 1" in err and "column" in err
+    assert err.startswith("error: ")
+    assert f"(line 1, column {column})" in err
 
 
 def test_move(capsys):

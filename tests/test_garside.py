@@ -303,6 +303,30 @@ def test_summit_representative_matches_the_oracle(w):
     assert rep == oracle._summit_representative(nf)
 
 
+def test_conjugation_primitive_matches_the_oracle():
+    # _conj by every simple up to four strands and 50 sampled ones on
+    # five, _cycle and _decycle, each on elements whose infimum is
+    # negative, zero, odd and even, against conjugation by spelled words
+    rng = random.Random("conjugation-primitive")
+    for n in (2, 3, 4, 5):
+        simples = list(itertools.permutations(range(1, n + 1)))
+        if n == 5:
+            simples = rng.sample(simples, 50)
+        for _ in range(3):
+            factors = normal_form(random_word(rng, n, 8)).factors
+            for p in (-3, -2, -1, 0, 1, 2):
+                x = garside.NormalForm(n, p, factors)
+                for s in simples:
+                    a = BraidWord(n, factor_word(s))
+                    assert garside._conj(x, s) == oracle._conj(x, a), (x, s)
+                if not factors:
+                    continue
+                head = normal_form_word(garside.NormalForm(n, p, factors[:1]))
+                assert garside._cycle(x) == oracle._conj(x, head), x
+                last = inverse(BraidWord(n, factor_word(factors[-1])))
+                assert garside._decycle(x) == oracle._conj(x, last), x
+
+
 @settings(max_examples=150, deadline=None)
 @given(words(max_index=6, max_len=20))
 def test_inverse_normal_form_from_the_factors(w):

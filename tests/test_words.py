@@ -71,6 +71,22 @@ def test_parse_word_errors_carry_position():
     # a late out-of-range letter still reports its exact position
     with pytest.raises(WordFormatError):
         parse_word("3: 1 1 1 -2 4")
+    # only ASCII digits are digits, and a token int() refuses for its
+    # length is malformed too
+    long = "1" * 5000
+    for text, column in [
+        ("3: \u00b2", 4),
+        ("3: 1 \u00b3", 6),
+        ("3: \u0661", 4),
+        ("\u0663: 1", 1),
+        ("3: " + long, 4),
+        ("3: 1\n  -" + long, 3),
+        (long + ": 1", 1),
+    ]:
+        with pytest.raises(WordFormatError) as exc:
+            parse_word(text)
+        line = text.count("\n") + 1
+        assert (exc.value.line, exc.value.column) == (line, column)
 
 
 def test_free_reduce():
