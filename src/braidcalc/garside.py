@@ -11,10 +11,11 @@ precomputed tables are needed and any strand count works.
 The normal form takes one pass over the word.  A negative letter is
 ``D^-1 (D sigma_g^-1)``; moving every ``D^-1`` to the front flips each
 earlier factor by ``D``, so a factor is flipped when an odd number of
-negative letters follow it.  Factors are appended one at a time and a
-right-to-left pass restores left weighting, stopping at the first pair
-already left weighted (Epstein et al., *Word Processing in Groups*,
-1992, ch. 9; Elrifai and Morton, Quart. J. Math. 45, 1994).
+negative letters follow it.  One loop left-weights every product of
+simples, a word's and a conjugation's alike: each is appended and a
+right-to-left pass stops at the first pair already left weighted
+(Epstein et al., *Word Processing in Groups*, 1992, ch. 9; Elrifai and
+Morton, Quart. J. Math. 45, 1994).
 
 Conjugacy is decided through super summit sets: cycling raises the
 infimum to its conjugacy maximum, decycling lowers the supremum to its
@@ -25,11 +26,11 @@ in the set (Franco and Gonzalez-Meneses, J. Algebra 266, 2003).  Each
 element has at most ``n - 1`` of them.  Two elements are conjugate
 exactly when their super summit sets coincide.  The search explores
 that set with a node cap and reports an inconclusive verdict if the
-cap is exceeded.  Each conjugation of ``x = D^p F1 ... Fm`` normalizes
-one positive product of simples, ``tau`` being the flip of ``sigma_i``
-to ``sigma_(n-i)``: ``D^(p-1) tau^(p+1)(s^-1 D) F1 ... Fm s`` by a
-simple ``s``, ``D^p tau^p(F2) ... tau^p(Fm) F1`` when cycling and
-``D^p tau^p(Fm) F1 ... F(m-1)`` when decycling.
+cap is exceeded.  Each conjugation of ``x = D^p F1 ... Fm`` hands that
+loop one positive product of simples and spells no word, ``tau`` being
+the flip of ``sigma_i`` to ``sigma_(n-i)``: ``D^(p-1) tau^(p+1)(s^-1 D)
+F1 ... Fm s`` by a simple ``s``, ``D^p tau^p(F2) ... tau^p(Fm) F1``
+when cycling and ``D^p tau^p(Fm) F1 ... F(m-1)`` when decycling.
 """
 
 from __future__ import annotations
@@ -139,22 +140,33 @@ def normal_form(w: BraidWord) -> NormalForm:
     """Compute the left normal form of a braid word.
 
     The power is minus the number of negative letters; a letter's factor
-    is flipped when the negative letters after it are odd in number.
-    Each pass back from a new factor stops at the first pair already
-    left weighted, one mask test on the factors' divisor bitmasks.
+    is flipped when the negative letters after it are odd in number, and
+    the factors go to ``_product``, the loop that conjugation runs.
     """
     n = w.index
     w0 = _half_twist(n)
-    negatives = after = sum(g < 0 for g in w.letters)
+    negatives = sum(g < 0 for g in w.letters)
+
+    def simples():
+        after = negatives
+        for g in w.letters:
+            after -= g < 0
+            f = _tau(n - abs(g) if after % 2 else abs(g), n)
+            yield _mul(w0, f) if g < 0 else f
+
+    return _product(n, -negatives, simples())
+
+
+def _product(n: int, q: int, simples) -> NormalForm:
+    # D^q times the normal form of a product of simples: a pass back
+    # from each new one stops at the first pair already left weighted
+    w0 = _half_twist(n)
     factors: list[Entry] = []
-    weigh = functools.lru_cache(1024)(_weigh)  # pairs recur in one word
-    for g in w.letters:
-        after -= g < 0
-        f = _tau(n - abs(g) if after % 2 else abs(g), n)
-        f = _mul(w0, f) if g < 0 else f
+    weigh = functools.lru_cache(1024)(_weigh)  # pairs recur in one product
+    for f in simples:
         fin = _descents(f)
         if not fin:
-            continue  # sigma_1^-1 on two strands is D^-1 itself
+            continue  # the identity, as D sigma_1^-1 on two strands
         factors.append((f, _descents(_inv(f)), fin))
         j = len(factors) - 1
         while j and factors[j][1] & ~factors[j - 1][2]:
@@ -163,8 +175,7 @@ def normal_form(w: BraidWord) -> NormalForm:
         while factors and not factors[-1][2]:
             factors.pop()
     lead = sum(f == w0 for f, _, _ in factors)  # every D comes first
-    rest = tuple(f for f, _, _ in factors[lead:])
-    return NormalForm(n, lead - negatives, rest)
+    return NormalForm(n, q + lead, tuple(f for f, _, _ in factors[lead:]))
 
 
 def _weigh(left: Entry, right: Entry) -> tuple[Entry, Entry]:
@@ -189,17 +200,11 @@ def _weigh(left: Entry, right: Entry) -> tuple[Entry, Entry]:
 
 def normal_form_word(nf: NormalForm) -> BraidWord:
     """A word evaluating to the element the normal form represents."""
-    n = nf.index
-    letters: list[int] = []
-    twist = factor_word(_half_twist(n))
-    if nf.power >= 0:
-        letters.extend(twist * nf.power)
-    else:
-        undo = tuple(-g for g in reversed(twist))
-        letters.extend(undo * (-nf.power))
-    for f in nf.factors:
-        letters.extend(factor_word(f))
-    return BraidWord(n, letters)
+    twist = factor_word(_half_twist(nf.index))
+    if nf.power < 0:
+        twist = tuple(-g for g in reversed(twist))
+    factors = (g for f in nf.factors for g in factor_word(f))
+    return BraidWord(nf.index, (*twist * abs(nf.power), *factors))
 
 
 def words_equal(u: BraidWord, v: BraidWord) -> bool:
@@ -239,14 +244,6 @@ def _flip(p: Perm, k: int) -> Perm:
     # tau^k, conjugation by D^k: strand i becomes strand n + 1 - i
     n = len(p)
     return tuple(n + 1 - p[n - 1 - i] for i in range(n)) if k % 2 else p
-
-
-def _product(n: int, q: int, simples) -> NormalForm:
-    # D^q times the normal form of the positive word the simples spell:
-    # the one place conjugation turns factors into letters
-    letters = [g for f in simples for g in factor_word(f)]
-    nf = normal_form(BraidWord(n, letters))
-    return NormalForm(n, nf.power + q, nf.factors)
 
 
 def _conj(x: NormalForm, s: Perm) -> NormalForm:

@@ -1,5 +1,6 @@
 """Normal forms and the conjugacy oracle."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -249,12 +250,14 @@ def test_conjugacy_matches_the_all_simples_walk():
     # node counts agree there.  Five-strand answers are known by
     # construction.
     rng = random.Random("conjugacy-differential")
+    outcomes = []
     for k in range(300):
         n = (3, 4, 5)[k % 3]
         conjugate_pair = k % 2 == 0
         length = rng.randint(4, 12) if n < 5 else rng.randint(7, 9)
         u, v = random_pair(rng, n, length, conjugate_pair)
         rep = conjugacy_test(u, v)
+        outcomes.append((rep.verdict.value, rep.nodes))
         if n == 5:
             expected = (
                 Verdict.CONJUGATE if conjugate_pair else Verdict.NOT_CONJUGATE
@@ -265,6 +268,12 @@ def test_conjugacy_matches_the_all_simples_walk():
         assert rep.verdict is old.verdict, (u, v)
         if old.verdict is Verdict.NOT_CONJUGATE:
             assert rep.nodes == old.nodes, (u, v)
+    # the node counts on conjugate pairs depend on the walk's order,
+    # which no oracle shares, so all 300 outcomes are pinned
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == (
+        "7dc81175b3efc78d01fafb2710ad47925a621e0308109fc919bcf07df1f0241a"
+    )
 
 
 def length(p):
@@ -325,6 +334,46 @@ def test_conjugation_primitive_matches_the_oracle():
                 assert garside._cycle(x) == oracle._conj(x, head), x
                 last = inverse(BraidWord(n, factor_word(factors[-1])))
                 assert garside._decycle(x) == oracle._conj(x, last), x
+
+
+@st.composite
+def products(draw):
+    # n, q and a sequence of simples drawn from a small pool that holds
+    # the identity and D, so that both and repeats turn up
+    n = draw(st.integers(2, 6))
+    q = draw(st.integers(-3, 3))
+    perms = st.permutations(range(1, n + 1)).map(tuple)
+    pool = [tuple(range(1, n + 1)), garside._half_twist(n)]
+    pool += draw(st.lists(perms, min_size=1, max_size=4))
+    return n, q, draw(st.lists(st.sampled_from(pool), max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(products())
+def test_product_matches_the_oracle_on_spelled_simples(case):
+    n, q, simples = case
+    twist = BraidWord(n, factor_word(garside._half_twist(n)))
+    power = (twist if q >= 0 else inverse(twist)).letters * abs(q)
+    spelled = [g for s in simples for g in factor_word(s)]
+    expected = oracle.normal_form(BraidWord(n, (*power, *spelled)))
+    assert garside._product(n, q, iter(simples)) == expected
+
+
+def test_conjugacy_spells_no_letters(monkeypatch):
+    # the walk, cycling and decycling hand permutations to _product and
+    # never turn them into letters
+    rng = random.Random("spells-no-letters")
+    elements = [normal_form(random_word(rng, n, 10)) for n in (3, 4, 5) * 2]
+    summits = [garside._summit_representative(x) for x in elements]
+
+    def spelled(p):
+        raise AssertionError(f"factor_word{p} on the conjugacy path")
+
+    monkeypatch.setattr(garside, "factor_word", spelled)
+    a = BraidWord(3, (1, 1, 1, -2, -2, 1, 1, 1, 1, -2))
+    b = BraidWord(3, (1, 1, 1, -2, 1, 1, 1, 1, -2, -2))
+    assert conjugacy_test(a, b) == ConjugacyReport(Verdict.NOT_CONJUGATE, 20)
+    assert [garside._summit_representative(x) for x in elements] == summits
 
 
 @settings(max_examples=150, deadline=None)
