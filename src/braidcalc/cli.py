@@ -83,10 +83,17 @@ def _word(text: str) -> BraidWord:
 def _document(what: str):
     # reading, decoding or writing a document named from outside the
     # program: any failure is a usage error (JSONDecodeError is a
-    # ValueError)
+    # ValueError; nesting too deep to decode is a RecursionError)
     try:
         yield
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+    except (
+        OSError,
+        ValueError,
+        KeyError,
+        TypeError,
+        AttributeError,
+        RecursionError,
+    ) as err:
         raise _Usage(f"bad {what}: {err}") from err
 
 

@@ -21,6 +21,7 @@ reported separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .words import BraidWord, closure_components, exponent_sum
 
@@ -39,20 +40,29 @@ class DivisibilityFailure(ArithmeticError):
     """Raised when a Laurent quotient that must be exact is not."""
 
 
+@dataclass(frozen=True)
 class LaurentPoly:
     """An integer Laurent polynomial in one variable ``t``.
 
-    Immutable; stores only nonzero coefficients keyed by exponent.
+    ``coeffs[i]`` is the coefficient of ``t^(low + i)``.  Construction
+    trims zeros at both ends and the zero polynomial is ``(0, ())``, so
+    field equality is polynomial equality.
     """
 
-    __slots__ = ("_coeffs",)
+    low: int = 0
+    coeffs: tuple[int, ...] = ()
 
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        clean = {e: c for e, c in (coeffs or {}).items() if c != 0}
-        object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+    def __post_init__(self):
+        c = self.coeffs
+        if c and c[0] and c[-1]:
+            return
+        start, end = 0, len(c)
+        while start < end and not c[start]:
+            start += 1
+        while end > start and not c[end - 1]:
+            end -= 1
+        object.__setattr__(self, "low", self.low + start if start < end else 0)
+        object.__setattr__(self, "coeffs", c[start:end])
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -60,104 +70,75 @@ class LaurentPoly:
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
+        return LaurentPoly(0, (1,))
 
     @staticmethod
     def term(coeff: int, exp: int = 0) -> "LaurentPoly":
-        return LaurentPoly({exp: coeff})
+        return LaurentPoly(exp, (coeff,))
 
     def items(self) -> list[tuple[int, int]]:
-        return sorted(self._coeffs.items())
-
-    def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
+        return [(e, c) for e, c in enumerate(self.coeffs, self.low) if c]
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.coeffs
 
-    @property
-    def min_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("the zero polynomial has no exponents")
-        return min(self._coeffs)
-
-    @property
-    def max_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("the zero polynomial has no exponents")
-        return max(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly) and self._coeffs == other._coeffs
+    def _aligned(self, other: "LaurentPoly"):
+        # both coefficient lists padded to start at the lower exponent
+        low = min(self.low, other.low)
+        return low, zip_longest(
+            (0,) * (self.low - low) + self.coeffs,
+            (0,) * (other.low - low) + other.coeffs,
+            fillvalue=0,
         )
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
+    # tuples are built from lists, not generators: a generator's tuple is
+    # resized from a guessed size, which fills CPython's tuple free lists
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        low, pairs = self._aligned(other)
+        return LaurentPoly(low, tuple([a + b for a, b in pairs]))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        low, pairs = self._aligned(other)
+        return LaurentPoly(low, tuple([a - b for a, b in pairs]))
+
+    def __neg__(self) -> "LaurentPoly":
+        return LaurentPoly(self.low, tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        out = [0] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs, i):
+                out[j] += a * b
+        return LaurentPoly(self.low + other.low, tuple(out))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by ``t^k``."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
+        return LaurentPoly(self.low + k, self.coeffs)
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Divide exactly, raising :class:`DivisibilityFailure` on remainder."""
-        if divisor.is_zero():
+        den = divisor.coeffs
+        if not den:
             raise DivisibilityFailure("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero()
-        # shift both to ordinary polynomials and do long division
-        num = self.shift(-self.min_exp)
-        den = divisor.shift(-divisor.min_exp)
-        shift_back = self.min_exp - divisor.min_exp
-        rem = dict(num._coeffs)
-        lead = den.max_exp
-        lead_coeff = den.coefficient(lead)
-        quot: dict[int, int] = {}
-        while rem:
-            top = max(rem)
-            if top < lead:
+        # long division from the top coefficient down
+        rem = list(self.coeffs)
+        quot = [0] * max(len(rem) - len(den) + 1, 0)
+        for i in reversed(range(len(quot))):
+            q, r = divmod(rem[i + len(den) - 1], den[-1])
+            if r:
                 raise DivisibilityFailure("nonzero remainder")
-            c, r = divmod(rem[top], lead_coeff)
-            if r != 0:
-                raise DivisibilityFailure("nonzero remainder")
-            quot[top - lead] = c
-            for e, dc in den._coeffs.items():
-                k = top - lead + e
-                v = rem.get(k, 0) - c * dc
-                if v == 0:
-                    rem.pop(k, None)
-                else:
-                    rem[k] = v
-        return LaurentPoly(quot).shift(shift_back)
+            quot[i] = q
+            for j, d in enumerate(den, i):
+                rem[j] -= q * d
+        if any(rem):
+            raise DivisibilityFailure("nonzero remainder")
+        return LaurentPoly(self.low - divisor.low, tuple(quot))
 
     def normalized(self) -> "LaurentPoly":
         """Scale by a unit so the lowest exponent is 0 with positive coefficient."""
-        if self.is_zero():
-            return self
-        shifted = self.shift(-self.min_exp)
-        if shifted.coefficient(0) < 0:
-            return -shifted
-        return shifted
+        if self.coeffs and self.coeffs[0] < 0:
+            return (-self).shift(-self.low)
+        return self.shift(-self.low)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -176,9 +157,6 @@ class LaurentPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({dict(self.items())!r})"
 
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
@@ -253,10 +231,7 @@ def alexander(w: BraidWord) -> LaurentPoly:
             for i, row in enumerate(burau(w))
         )
     )
-    if det.is_zero():
-        return LaurentPoly.zero()
-    divisor = LaurentPoly({k: 1 for k in range(w.index)})
-    return det.exact_div(divisor).normalized()
+    return det.exact_div(LaurentPoly(0, (1,) * w.index)).normalized()
 
 
 @dataclass(frozen=True)

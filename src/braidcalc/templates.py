@@ -208,23 +208,6 @@ class BlockStrandDiagram:
                     )
         return spans
 
-    @property
-    def fixed_words(self) -> tuple[tuple[int, ...], ...]:
-        """Band letters between blocks: the fixed inter-block words."""
-        segments: list[tuple[int, ...]] = []
-        current: list[int] = []
-        for entry, flow, base in _walk(self.weights, self.entries):
-            if isinstance(entry, Band):
-                a, b = flow[entry.pos - 1], flow[entry.pos]
-                current.extend(
-                    band_expand(a, b, base, entry.sign, self.index).letters
-                )
-            else:
-                segments.append(tuple(current))
-                current = []
-        segments.append(tuple(current))
-        return tuple(segments)
-
 
 Assignment = dict[str, BraidWord]
 
@@ -351,7 +334,10 @@ def sample_assignment(
         choices = [g for g in range(-(span - 1), span) if g != 0]
         while True:
             length = rng.randint(0, max_len)
-            letters = tuple(rng.choice(choices) for _ in range(length))
+            # one cable has no letters: its only word is the empty word
+            letters = tuple(
+                rng.choice(choices) for _ in range(length if choices else 0)
+            )
             if all(
                 _preserves_vector(letters, vec)
                 for vec in constraints.get(name, [])
@@ -419,7 +405,7 @@ def verify_template(t: Template, samples: list[Assignment]) -> VerifyReport:
 
 
 def sigma_budget(d: BlockStrandDiagram) -> int:
-    """Count of top generator letters the fixed words can emit.
+    """Count of top generator letters the diagram's bands can emit.
 
     Requires every block to sit clear of the last strand, as in the
     normalized form where blocks occupy initial strands; otherwise
@@ -428,6 +414,7 @@ def sigma_budget(d: BlockStrandDiagram) -> int:
     count of letters ``n - 1`` in any expansion of the diagram.
     """
 
+    top, count = d.index - 1, 0
     for entry, flow, base in _walk(d.weights, d.entries):
         if isinstance(entry, BlockRef):
             total = sum(flow[entry.pos - 1 : entry.pos - 1 + entry.span])
@@ -436,13 +423,11 @@ def sigma_budget(d: BlockStrandDiagram) -> int:
                     f"block {entry.id!r} spans strands"
                     f" {base}..{base + total - 1} of {d.index}"
                 )
-    top = d.index - 1
-    return sum(
-        1
-        for segment in d.fixed_words
-        for g in segment
-        if abs(g) == top
-    )
+        else:
+            a, b = flow[entry.pos - 1], flow[entry.pos]
+            letters = band_expand(a, b, base, entry.sign, d.index).letters
+            count += sum(1 for g in letters if abs(g) == top)
+    return count
 
 
 def non_carry_certificate(d: BlockStrandDiagram, min_last_count: int) -> bool:

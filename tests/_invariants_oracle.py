@@ -1,17 +1,166 @@
-"""The reduced Burau product as it was before the one-column update.
+"""Invariants code as it was before later rewrites, kept as references.
 
-Kept unchanged as a reference for differential tests of
-:func:`braidcalc.invariants.burau`: every letter becomes a full
-``(n - 1) x (n - 1)`` generator matrix and the running product is
-multiplied by it.
+``DictLaurentPoly`` is the Laurent polynomial class as it was before the
+dense ``(low, coeffs)`` form: a dict from exponent to nonzero
+coefficient.  It is the oracle for differential tests of
+:class:`braidcalc.invariants.LaurentPoly`.
+
+``burau`` is the reduced Burau product as it was before the one-column
+update: every letter becomes a full ``(n - 1) x (n - 1)`` generator
+matrix and the running product is multiplied by it.  It is the oracle
+for :func:`braidcalc.invariants.burau`.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from braidcalc.invariants import LaurentPoly
+from braidcalc.invariants import DivisibilityFailure, LaurentPoly
 from braidcalc.words import BraidWord
+
+
+class DictLaurentPoly:
+    """An integer Laurent polynomial in one variable ``t``.
+
+    Immutable; stores only nonzero coefficients keyed by exponent.
+    """
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs: dict[int, int] | None = None):
+        clean = {e: c for e, c in (coeffs or {}).items() if c != 0}
+        object.__setattr__(self, "_coeffs", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DictLaurentPoly is immutable")
+
+    @staticmethod
+    def zero() -> "DictLaurentPoly":
+        return DictLaurentPoly()
+
+    @staticmethod
+    def one() -> "DictLaurentPoly":
+        return DictLaurentPoly({0: 1})
+
+    @staticmethod
+    def term(coeff: int, exp: int = 0) -> "DictLaurentPoly":
+        return DictLaurentPoly({exp: coeff})
+
+    def items(self) -> list[tuple[int, int]]:
+        return sorted(self._coeffs.items())
+
+    def coefficient(self, exp: int) -> int:
+        return self._coeffs.get(exp, 0)
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    @property
+    def min_exp(self) -> int:
+        if not self._coeffs:
+            raise ValueError("the zero polynomial has no exponents")
+        return min(self._coeffs)
+
+    @property
+    def max_exp(self) -> int:
+        if not self._coeffs:
+            raise ValueError("the zero polynomial has no exponents")
+        return max(self._coeffs)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, DictLaurentPoly)
+            and self._coeffs == other._coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._coeffs.items()))
+
+    def __add__(self, other: "DictLaurentPoly") -> "DictLaurentPoly":
+        out = dict(self._coeffs)
+        for e, c in other._coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return DictLaurentPoly(out)
+
+    def __neg__(self) -> "DictLaurentPoly":
+        return DictLaurentPoly({e: -c for e, c in self._coeffs.items()})
+
+    def __sub__(self, other: "DictLaurentPoly") -> "DictLaurentPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "DictLaurentPoly") -> "DictLaurentPoly":
+        out: dict[int, int] = {}
+        for e1, c1 in self._coeffs.items():
+            for e2, c2 in other._coeffs.items():
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+        return DictLaurentPoly(out)
+
+    def shift(self, k: int) -> "DictLaurentPoly":
+        """Multiply by ``t^k``."""
+        return DictLaurentPoly({e + k: c for e, c in self._coeffs.items()})
+
+    def exact_div(self, divisor: "DictLaurentPoly") -> "DictLaurentPoly":
+        """Divide exactly, raising :class:`DivisibilityFailure` on remainder."""
+        if divisor.is_zero():
+            raise DivisibilityFailure("division by the zero polynomial")
+        if self.is_zero():
+            return DictLaurentPoly.zero()
+        # shift both to ordinary polynomials and do long division
+        num = self.shift(-self.min_exp)
+        den = divisor.shift(-divisor.min_exp)
+        shift_back = self.min_exp - divisor.min_exp
+        rem = dict(num._coeffs)
+        lead = den.max_exp
+        lead_coeff = den.coefficient(lead)
+        quot: dict[int, int] = {}
+        while rem:
+            top = max(rem)
+            if top < lead:
+                raise DivisibilityFailure("nonzero remainder")
+            c, r = divmod(rem[top], lead_coeff)
+            if r != 0:
+                raise DivisibilityFailure("nonzero remainder")
+            quot[top - lead] = c
+            for e, dc in den._coeffs.items():
+                k = top - lead + e
+                v = rem.get(k, 0) - c * dc
+                if v == 0:
+                    rem.pop(k, None)
+                else:
+                    rem[k] = v
+        return DictLaurentPoly(quot).shift(shift_back)
+
+    def normalized(self) -> "DictLaurentPoly":
+        """Scale by a unit so the lowest exponent is 0 with positive coefficient."""
+        if self.is_zero():
+            return self
+        shifted = self.shift(-self.min_exp)
+        if shifted.coefficient(0) < 0:
+            return -shifted
+        return shifted
+
+    def __str__(self) -> str:
+        if self.is_zero():
+            return "0"
+        parts: list[str] = []
+        for e, c in self.items():
+            mag = abs(c)
+            if e == 0:
+                body = str(mag)
+            elif e == 1:
+                body = "t" if mag == 1 else f"{mag}*t"
+            else:
+                body = f"t^{e}" if mag == 1 else f"{mag}*t^{e}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"DictLaurentPoly({dict(self.items())!r})"
+
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
 

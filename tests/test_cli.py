@@ -250,6 +250,26 @@ def test_verify_template_pinned(capsys):
     assert all(s["ok"] for s in doc["samples"])
 
 
+def test_verify_template_one_cable_block(tmp_path, capsys):
+    # a block on one cable can only hold the empty word
+    block = {"kind": "block", "id": "P", "span": 1}
+    band = {"kind": "band", "pos": 1, "sign": 1}
+    doc = {
+        "name": "one_cable",
+        "plus": {"n": 3, "weights": [2, 1], "entries": [block, band]},
+        "minus": {
+            "n": 3,
+            "weights": [2, 1],
+            "entries": [band, dict(block, pos=2)],
+        },
+    }
+    path = tmp_path / "one_cable.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-template", str(path))
+    assert (code, err) == (0, "")
+    assert out.split("\n")[1] == "25/25 pass delta_b=0"
+
+
 def test_verify_template_dir_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BRAID_TEMPLATE_DIR", str(tmp_path))
     code, _, err = run(capsys, "verify-template", "exchange_w1")
@@ -388,6 +408,10 @@ _DOCUMENTS = {
         *[["census", name] for name in ("{count-float}", "{es-float}",
                                          "{chi-bool}")],
         ["reduce", "3: 1 -2", "--out", "{dir}"],
+        ["move", "2: 1", "[" * 100_000],
+        ["replay", "{deep}"],
+        ["census", "{deep}"],
+        ["expand", "{deep}"],
     ],
     ids=[
         "verify-template-dir",
@@ -418,19 +442,31 @@ _DOCUMENTS = {
         "census-es-float",
         "census-chi-bool",
         "reduce-out-dir",
+        "move-deep",
+        "tower-deep",
+        "census-deep",
+        "template-deep",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     # {dir} is a directory where a file is expected; {list} is a JSON
     # file holding a list where an object is expected; {tower} is a
     # tower file whose one step would replay if its sign were decoded
-    # loosely; the rest are the files of _DOCUMENTS
+    # loosely; {deep} nests arrays past the decoder's recursion limit;
+    # the rest are the files of _DOCUMENTS
     listed = tmp_path / "list.json"
     listed.write_text("[]")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
     tower = tmp_path / "tower.json"
     step = {"move": {"kind": "stabilize", "sign": True}, "result": "3: 1 2"}
     tower.write_text(json.dumps({"initial": "2: 1", "steps": [step]}))
-    files = {"{dir}": tmp_path, "{list}": listed, "{tower}": tower}
+    files = {
+        "{dir}": tmp_path,
+        "{list}": listed,
+        "{tower}": tower,
+        "{deep}": deep,
+    }
     for number, (name, doc) in enumerate(_DOCUMENTS.items()):
         files[name] = tmp_path / f"doc{number}.json"
         files[name].write_text(json.dumps(doc))

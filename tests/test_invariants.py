@@ -1,5 +1,6 @@
 """Laurent arithmetic, Burau matrices, link fingerprints."""
 
+import dataclasses
 import random
 import time
 
@@ -24,7 +25,10 @@ from braidcalc.words import BraidWord, concat, conjugate, rotate
 
 
 def poly(d):
-    return LaurentPoly(d)
+    out = LaurentPoly.zero()
+    for e, c in d.items():
+        out = out + LaurentPoly.term(c, e)
+    return out
 
 
 def test_poly_basics():
@@ -32,13 +36,13 @@ def test_poly_basics():
     assert LaurentPoly.one() == poly({0: 1})
     assert poly({2: 0}) == LaurentPoly.zero()
     p = poly({0: 1, 1: -1, 2: 1})
-    assert p.coefficient(1) == -1 and p.coefficient(7) == 0
-    assert p.min_exp == 0 and p.max_exp == 2
+    assert (p.low, p.coeffs) == (0, (1, -1, 1))
     assert p.items() == [(0, 1), (1, -1), (2, 1)]
-    with pytest.raises(ValueError):
-        LaurentPoly.zero().min_exp
-    with pytest.raises(AttributeError):
-        p._coeffs = {}
+    assert LaurentPoly(-3, (0, 0, 2, 0, -1, 0)) == LaurentPoly(-1, (2, 0, -1))
+    assert LaurentPoly(5, (0, 0)) == LaurentPoly.zero()
+    assert (LaurentPoly.zero().low, LaurentPoly.zero().coeffs) == (0, ())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.low = 1
 
 
 def test_poly_arithmetic():
@@ -78,6 +82,54 @@ def test_poly_renderer():
     assert str(poly({3: 2})) == "2*t^3"
     assert str(poly({-1: 1, 1: -1})) == "t^-1 - t"
     assert str(poly({0: -1, 1: 1})) == "-1 + t"
+
+
+TERMS = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=5)
+
+
+def dense(d):
+    # the dense constructor, fed the dict's zero coefficients as well
+    low = min(d, default=0)
+    top = max(d, default=low - 1)
+    return LaurentPoly(low, tuple(d.get(e, 0) for e in range(low, top + 1)))
+
+
+def agree(p, o):
+    # same terms, same text, and the trimmed fields the terms call for
+    assert p.items() == o.items() and str(p) == str(o)
+    if o.is_zero():
+        assert (p.low, p.coeffs) == (0, ())
+    else:
+        span = range(o.min_exp, o.max_exp + 1)
+        assert (p.low, p.coeffs) == (
+            o.min_exp,
+            tuple(o.coefficient(e) for e in span),
+        )
+
+
+def quotient(p, q):
+    try:
+        return p.exact_div(q).items()
+    except DivisibilityFailure:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS, TERMS, st.integers(-6, 6))
+def test_poly_matches_dict_oracle(d, e, k):
+    p, op = dense(d), oracle.DictLaurentPoly(d)
+    q, oq = dense(e), oracle.DictLaurentPoly(e)
+    agree(p, op)
+    agree(p + q, op + oq)
+    agree(p - q, op - oq)
+    agree(p * q, op * oq)
+    agree(-p, -op)
+    agree(p.shift(k), op.shift(k))
+    agree(p.normalized(), op.normalized())
+    if not q.is_zero():
+        agree((p * q).exact_div(q), (op * oq).exact_div(oq))
+    # on an arbitrary pair both raise or neither, with the same quotient
+    assert quotient(p, q) == quotient(op, oq)
 
 
 def test_burau_relations():
@@ -195,7 +247,7 @@ def sympy_det(mat):
     # multiplied by t^-low so that all exponents are natural
     t = sympy.Symbol("t")
     ring = sympy.ZZ[t]
-    low = min((x.min_exp for row in mat for x in row if not x.is_zero()),
+    low = min((x.low for row in mat for x in row if not x.is_zero()),
               default=0)
     rows = [
         [ring.ring.from_dict({(e - low,): c for e, c in x.items()})
@@ -203,16 +255,14 @@ def sympy_det(mat):
         for row in mat
     ]
     det = DomainMatrix(rows, (len(mat), len(mat)), ring).det()
-    return LaurentPoly(
-        {e + low * len(mat): int(c) for (e,), c in det.terms()}
-    )
+    return poly({e + low * len(mat): int(c) for (e,), c in det.terms()})
 
 
 SPARSE_POLYS = st.one_of(
     st.just(LaurentPoly.zero()),
     st.dictionaries(
         st.integers(-2, 2), st.integers(-3, 3), max_size=3
-    ).map(LaurentPoly),
+    ).map(poly),
 )
 
 

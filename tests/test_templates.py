@@ -101,15 +101,6 @@ def test_diagram_validation():
     )
 
 
-def test_fixed_words():
-    d = BlockStrandDiagram(
-        3,
-        (1, 1, 1),
-        (BlockRef("P", 2, 1), Band(2, 1), BlockRef("Q", 2, 1), Band(2, -1)),
-    )
-    assert d.fixed_words == ((), (2,), (-2,))
-
-
 def test_template_requires_matching_blocks():
     plus = BlockStrandDiagram(3, (1, 1, 1), (BlockRef("P", 2, 1), Band(2, 1)))
     minus = BlockStrandDiagram(3, (1, 1, 1), (BlockRef("Q", 2, 1),))
