@@ -8,14 +8,19 @@ the full half twist.  Permutation braids are stored as their endpoint
 permutations and all factor arithmetic happens on permutations, so no
 precomputed tables are needed and any strand count works.
 
-The normal form takes one pass over the word.  A negative letter is
-``D^-1 (D sigma_g^-1)``; moving every ``D^-1`` to the front flips each
-earlier factor by ``D``, so a factor is flipped when an odd number of
-negative letters follow it.  One loop left-weights every product of
-simples, a word's and a conjugation's alike: each is appended and a
-right-to-left pass stops at the first pair already left weighted
-(Epstein et al., *Word Processing in Groups*, 1992, ch. 9; Elrifai and
-Morton, Quart. J. Math. 45, 1994).
+The normal form takes one pass over the freely reduced word.  A
+negative letter is ``D^-1 (D sigma_g^-1)``; moving every ``D^-1`` to
+the front flips each earlier factor by ``tau``, conjugation by ``D``,
+so a factor is flipped when an odd number of negative letters follow
+it.  One loop left-weights every product of simples, a word's and a
+conjugation's alike: each is appended and a right-to-left pass stops
+at the first pair already left weighted (Epstein et al., *Word
+Processing in Groups*, 1992, ch. 9; Elrifai and Morton, Quart. J.
+Math. 45, 1994) or at a ``D``.  That ``D`` goes to a count at the right
+end, as ``D Y = tau(Y) D``, and the pass ends: carried to the front,
+the ``D`` would leave the pairs behind it left weighted.
+Equality first compares the images in ``Z`` (exponent sum) and ``S_n``
+(permutation): only words with equal images are normalized.
 
 Conjugacy is decided through super summit sets: cycling raises the
 infimum to its conjugacy maximum, decycling lowers the supremum to its
@@ -27,8 +32,8 @@ element has at most ``n - 1`` of them.  Two elements are conjugate
 exactly when their super summit sets coincide.  The search explores
 that set with a node cap and reports an inconclusive verdict if the
 cap is exceeded.  Each conjugation of ``x = D^p F1 ... Fm`` hands that
-loop one positive product of simples and spells no word, ``tau`` being
-the flip of ``sigma_i`` to ``sigma_(n-i)``: ``D^(p-1) tau^(p+1)(s^-1 D)
+loop one positive product of simples and spells no word, ``tau``
+flipping ``sigma_i`` to ``sigma_(n-i)``: ``D^(p-1) tau^(p+1)(s^-1 D)
 F1 ... Fm s`` by a simple ``s``, ``D^p tau^p(F2) ... tau^p(Fm) F1``
 when cycling and ``D^p tau^p(Fm) F1 ... F(m-1)`` when decycling.
 """
@@ -39,7 +44,7 @@ import enum
 import functools
 from dataclasses import dataclass
 
-from .words import BraidWord, cycle_type, exponent_sum, permutation
+from .words import BraidWord, cycle_type, exponent_sum, free_reduce, permutation
 
 __all__ = [
     "NormalForm",
@@ -139,10 +144,11 @@ class NormalForm:
 def normal_form(w: BraidWord) -> NormalForm:
     """Compute the left normal form of a braid word.
 
-    The power is minus the number of negative letters; a letter's factor
-    is flipped when the negative letters after it are odd in number, and
-    the factors go to ``_product``, the loop that conjugation runs.
+    The word is freely reduced; the power is minus its number of negative
+    letters, a letter's factor is flipped when an odd number of negative
+    letters follow it, and the factors go to ``_product``.
     """
+    w = free_reduce(w)
     n = w.index
     w0 = _half_twist(n)
     negatives = sum(g < 0 for g in w.letters)
@@ -158,24 +164,36 @@ def normal_form(w: BraidWord) -> NormalForm:
 
 
 def _product(n: int, q: int, simples) -> NormalForm:
-    # D^q times the normal form of a product of simples: a pass back
-    # from each new one stops at the first pair already left weighted
-    w0 = _half_twist(n)
+    # D^q times a product of simples, normalized as D^q F1 ... Fm D^r:
+    # each arrives flipped by tau^r; a D the pass makes moves to the end
+    twist = (1 << n) - 2  # the descents of D
     factors: list[Entry] = []
+    r = 0
     weigh = functools.lru_cache(1024)(_weigh)  # pairs recur in one product
     for f in simples:
-        fin = _descents(f)
-        if not fin:
+        entry = _entry(_flip(f, r))
+        if not entry[2]:
             continue  # the identity, as D sigma_1^-1 on two strands
-        factors.append((f, _descents(_inv(f)), fin))
+        if entry[2] == twist:  # D; on one strand, the identity above
+            r += 1
+            continue
+        factors.append(entry)
         j = len(factors) - 1
         while j and factors[j][1] & ~factors[j - 1][2]:
-            factors[j - 1], factors[j] = weigh(factors[j - 1], factors[j])
+            left, factors[j] = weigh(factors[j - 1], factors[j])
+            if left[2] == twist:  # F1 ... D Y = F1 ... tau(Y) D
+                factors[j - 1 :] = [_entry(_flip(g, 1)) for g, _, _ in factors[j:]]
+                r += 1
+                break
+            factors[j - 1] = left
             j -= 1
         while factors and not factors[-1][2]:
             factors.pop()
-    lead = sum(f == w0 for f, _, _ in factors)  # every D comes first
-    return NormalForm(n, q + lead, tuple(f for f, _, _ in factors[lead:]))
+    return NormalForm(n, q + r, tuple(_flip(f, r) for f, _, _ in factors))
+
+
+def _entry(f: Perm) -> Entry:
+    return f, _descents(_inv(f)), _descents(f)
 
 
 def _weigh(left: Entry, right: Entry) -> tuple[Entry, Entry]:
@@ -211,12 +229,14 @@ def words_equal(u: BraidWord, v: BraidWord) -> bool:
     """Whether two words on the same strand count are the same element."""
     if u.index != v.index:
         raise ValueError(f"strand counts differ: {u.index} versus {v.index}")
+    if exponent_sum(u) != exponent_sum(v) or permutation(u) != permutation(v):
+        return False  # their images in Z or in S_n differ
     return normal_form(u) == normal_form(v)
 
 
 def is_trivial(w: BraidWord) -> bool:
     """Whether the word is the identity element."""
-    return normal_form(w).is_identity()
+    return words_equal(w, BraidWord(w.index, ()))
 
 
 class Verdict(enum.Enum):

@@ -8,6 +8,13 @@ all earlier factors by the half twist, and left-weighting repeats full
 passes over the factor list until no pair changes.  Slow, but simple
 enough to trust.
 
+:func:`bubbling_product` is the original one-pass left-weighting loop,
+the oracle for ``braidcalc.garside._product``.  A half twist made by the
+pass is carried pair by pair to the front of the list, and every
+``D`` is counted there at the end.  Quadratic in the word length on
+random words, but it needs no flip of the factors behind a ``D``.
+:func:`letter_simples` spells a word as the simples that pass took.
+
 :func:`conjugacy_test` is the original super-summit-set walk, the oracle
 for :func:`braidcalc.garside.conjugacy_test`.  It conjugates every node
 by all ``n! - 1`` permutation braids, spelling the half twists out in
@@ -19,19 +26,23 @@ checks on its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from braidcalc import garside
 from braidcalc.garside import (
     DEFAULT_NODE_CAP,
     ConjugacyReport,
+    Entry,
     NormalForm,
     Perm,
     Verdict,
+    _descents,
     _half_twist,
     _inv,
     _mul,
     _tau,
+    _weigh,
     factor_word,
     normal_form_word,
 )
@@ -112,6 +123,39 @@ def _left_weight(factors: list[Perm], n: int) -> list[Perm]:
         if changed:
             factors = [f for f in factors if f != identity]
     return factors
+
+
+def letter_simples(w: BraidWord):
+    """The simple of each letter, flipped by the negative letters after
+    it; D to the minus their count times these is ``w``."""
+    n = w.index
+    w0 = _half_twist(n)
+    after = sum(g < 0 for g in w.letters)
+    for g in w.letters:
+        after -= g < 0
+        f = _tau(n - abs(g) if after % 2 else abs(g), n)
+        yield _mul(w0, f) if g < 0 else f
+
+
+def bubbling_product(n: int, q: int, simples) -> NormalForm:
+    """D^q times the normal form of a product of simples: a pass back
+    from each new one stops at the first pair already left weighted."""
+    w0 = _half_twist(n)
+    factors: list[Entry] = []
+    weigh = functools.lru_cache(1024)(_weigh)  # pairs recur in one product
+    for f in simples:
+        fin = _descents(f)
+        if not fin:
+            continue  # the identity, as D sigma_1^-1 on two strands
+        factors.append((f, _descents(_inv(f)), fin))
+        j = len(factors) - 1
+        while j and factors[j][1] & ~factors[j - 1][2]:
+            factors[j - 1], factors[j] = weigh(factors[j - 1], factors[j])
+            j -= 1
+        while factors and not factors[-1][2]:
+            factors.pop()
+    lead = sum(f == w0 for f, _, _ in factors)  # every D comes first
+    return NormalForm(n, q + lead, tuple(f for f, _, _ in factors[lead:]))
 
 
 def _conj(x: NormalForm, a: BraidWord) -> NormalForm:
