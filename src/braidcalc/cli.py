@@ -209,12 +209,12 @@ def _parse_assignment(pairs: list[str]) -> dict[str, BraidWord]:
 
 def _template_arg(ref: str):
     # a path wins; otherwise the ref names a catalog entry
-    if os.path.exists(ref):
-        with _document("template file"):
+    with _document("template file"):
+        if os.path.exists(ref):
             return load_template(ref)
-    for template in catalog():
-        if template.name == ref:
-            return template
+        for template in catalog():
+            if template.name == ref:
+                return template
     raise _Usage(f"no template file or catalog entry named {ref!r}")
 
 

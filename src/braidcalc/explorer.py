@@ -37,7 +37,7 @@ from .moves import (
     find_destabilizations,
     find_exchanges,
 )
-from .words import BraidWord, conjugate, cyclic_reduce, free_reduce
+from .words import BraidWord, cyclic_reduce, free_reduce
 
 __all__ = [
     "SearchConfig",
@@ -109,17 +109,15 @@ def canonical_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
 
 def _normalize(word: BraidWord) -> tuple[BraidWord, tuple[Move, ...]]:
     # reduce a raw move result freely and around the seam, recording the
-    # clean-up as replayable moves
-    moves: list[Move] = []
+    # clean-up as replayable moves: conjugating by the empty word stands
+    # for the free reduction, and conjugating by the inverse of each
+    # leading letter the seam loses strips that letter and its partner
     reduced = free_reduce(word)
-    if reduced.letters != word.letters:
-        moves.append(Conjugate(BraidWord(word.index, ())))
-        word = reduced
-    while word.letters and word.letters[0] == -word.letters[-1]:
-        g = BraidWord(word.index, (-word.letters[0],))
-        moves.append(Conjugate(g))
-        word = conjugate(word, g)
-    return word, tuple(moves)
+    core = cyclic_reduce(reduced)
+    moves = [Conjugate(BraidWord(word.index, ()))] if reduced != word else []
+    stripped = reduced.letters[: (len(reduced) - len(core)) // 2]
+    moves += [Conjugate(BraidWord(word.index, (-g,))) for g in stripped]
+    return core, tuple(moves)
 
 
 def _children(word: BraidWord, index_cap: int) -> list[tuple[Move, BraidWord]]:
@@ -156,14 +154,13 @@ def search_reduce(
     ]
     root_key = canonical_key(root)
     seen = {root_key}
-    heap = [(proxy_complexity(root), root_key, 0, 0)]
+    heap = [(proxy_complexity(root), root_key, 0)]
     best_rank = (proxy_complexity(root), root_key)
     best_at = 0
     expanded = 0
-    seq = 0
 
     while heap and expanded < cfg.node_budget:
-        rank, key, _, at = heapq.heappop(heap)
+        rank, key, at = heapq.heappop(heap)
         expanded += 1
         if (rank, key) < best_rank:
             best_rank = (rank, key)
@@ -180,10 +177,8 @@ def search_reduce(
             seen.add(child_key)
             child, cleanup = _normalize(raw)
             nodes.append((child, at, (move, *cleanup)))
-            seq += 1
             heapq.heappush(
-                heap,
-                (proxy_complexity(child), child_key, seq, len(nodes) - 1),
+                heap, (proxy_complexity(child), child_key, len(nodes) - 1)
             )
 
     path: list[Move] = []

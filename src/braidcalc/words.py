@@ -10,6 +10,7 @@ the letters, so ``2: 1`` and ``3: 1`` are different words.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -29,6 +30,10 @@ __all__ = [
     "closure_components",
     "cyclic_reduce",
 ]
+
+# \s is exactly what str.isspace() accepts, the set str.strip() removes
+_TOKEN = re.compile(r"\S+")
+_INT = re.compile(r"[+-]?[0-9]+")
 
 
 class WordFormatError(ValueError):
@@ -85,28 +90,27 @@ def parse_word(text: str) -> BraidWord:
     :class:`WordFormatError` pointing at the offending token.
     """
 
-    head, sep, tail = text.partition(":")
+    head, sep, _ = text.partition(":")
     if not sep:
         raise WordFormatError("missing ':' after strand count", 1, 1)
     index = _int_token(head.strip())
     if index is None or index < 1:
+        start = len(head) - len(head.lstrip())
         raise WordFormatError(
-            "strand count must be a positive integer", *_position(text, head, 0)
+            "strand count must be a positive integer", *_position(text, start)
         )
     letters = []
-    offset = len(head) + 1
-    for token, start in _tokens(tail, offset):
+    for match in _TOKEN.finditer(text, len(head) + 1):
+        token = match[0]
         g = _int_token(token)
         if g is None:
-            raise WordFormatError(
-                f"bad letter {token[:20]!r}", *_position(text, token, start)
-            )
-        if g == 0 or abs(g) > index - 1:
-            raise WordFormatError(
-                f"letter {g} is out of range for {index} strands",
-                *_position(text, token, start),
-            )
-        letters.append(g)
+            message = f"bad letter {token[:20]!r}"
+        elif g == 0 or abs(g) > index - 1:
+            message = f"letter {g} is out of range for {index} strands"
+        else:
+            letters.append(g)
+            continue
+        raise WordFormatError(message, *_position(text, match.start()))
     return BraidWord(index, letters)
 
 
@@ -129,8 +133,7 @@ def format_word(w: BraidWord) -> str:
 
 def _int_token(token: str) -> int | None:
     # a signed run of ASCII digits short enough for int(), else None
-    body = token[1:] if token[:1] in "+-" else token
-    if not (body.isascii() and body.isdigit()):
+    if not _INT.fullmatch(token):
         return None
     try:
         return int(token)
@@ -138,26 +141,10 @@ def _int_token(token: str) -> int | None:
         return None
 
 
-def _tokens(text: str, offset: int):
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace():
-            j += 1
-        yield text[i:j], offset + i
-        i = j
-
-
-def _position(text: str, token: str, start: int) -> tuple[int, int]:
-    # recover line and column of the first non-space character of the token
-    while start < len(text) and text[start].isspace():
-        start += 1
+def _position(text: str, start: int) -> tuple[int, int]:
+    # 1-based line and column of the character at index start
     line = text.count("\n", 0, start) + 1
-    last_break = text.rfind("\n", 0, start)
-    return line, start - last_break
+    return line, start - text.rfind("\n", 0, start)
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
@@ -258,8 +245,9 @@ def closure_components(w: BraidWord) -> int:
 
 def cyclic_reduce(w: BraidWord) -> BraidWord:
     """Freely reduce, then cancel inverse pairs across the seam."""
-    r = free_reduce(w)
-    letters = list(r.letters)
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        letters = letters[1:-1]
-    return BraidWord(w.index, letters)
+    letters = free_reduce(w).letters
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
+    return BraidWord(w.index, letters[i : j + 1])

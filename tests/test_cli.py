@@ -11,6 +11,7 @@ import pytest
 from braidcalc.cli import _build_parser, main
 from braidcalc.moves import load_tower, replay
 from braidcalc.templates import (
+    TEMPLATE_DIR_ENV,
     dump_template,
     make_cyclic,
     make_destabilize,
@@ -412,6 +413,9 @@ _DOCUMENTS = {
         ["replay", "{deep}"],
         ["census", "{deep}"],
         ["expand", "{deep}"],
+        ["{bad-catalog}", "expand", "cyclic4"],
+        ["{bad-catalog}", "verify-template", "cyclic4"],
+        ["{bad-catalog}", "certify", "cyclic4", "--min-last-count", "1"],
     ],
     ids=[
         "verify-template-dir",
@@ -446,14 +450,25 @@ _DOCUMENTS = {
         "tower-deep",
         "census-deep",
         "template-deep",
+        "catalog-expand",
+        "catalog-verify-template",
+        "catalog-certify",
     ],
 )
-def test_bad_input_exits_2(tmp_path, capsys, argv):
+def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     # {dir} is a directory where a file is expected; {list} is a JSON
     # file holding a list where an object is expected; {tower} is a
     # tower file whose one step would replay if its sign were decoded
     # loosely; {deep} nests arrays past the decoder's recursion limit;
-    # the rest are the files of _DOCUMENTS
+    # the rest are the files of _DOCUMENTS.  A leading {bad-catalog}
+    # points the catalog at a directory whose one template file has an
+    # integer name, so naming any catalog entry must fail
+    if argv[0] == "{bad-catalog}":
+        catalog_dir = tmp_path / "catalog"
+        catalog_dir.mkdir()
+        (catalog_dir / "bad.json").write_text(json.dumps({"name": 5}))
+        monkeypatch.setenv(TEMPLATE_DIR_ENV, str(catalog_dir))
+        argv = argv[1:]
     listed = tmp_path / "list.json"
     listed.write_text("[]")
     deep = tmp_path / "deep.json"

@@ -3,26 +3,36 @@
 import hashlib
 import json
 import random
+import time
 
+import _explorer_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcalc.explorer import (
     SearchConfig,
+    _normalize,
     canonical_key,
     proxy_complexity,
     search_reduce,
 )
 from braidcalc.invariants import fingerprint
 from braidcalc.moves import (
+    Conjugate,
     apply_move,
     find_exchanges,
     replay,
     stabilize,
     tower_to_json,
 )
-from braidcalc.words import BraidWord, conjugate, cyclic_reduce
+from braidcalc.words import (
+    BraidWord,
+    concat,
+    conjugate,
+    cyclic_reduce,
+    inverse,
+)
 
 
 def words(min_index, max_index):
@@ -96,6 +106,39 @@ def test_canonical_key_ignores_single_generator_conjugation(w, data):
     )
     conjugated = conjugate(w, BraidWord(w.index, (g,)))
     assert canonical_key(conjugated) == canonical_key(w)
+
+
+def word_pairs(min_index, max_index):
+    def pair(n):
+        letters = st.sampled_from([g for g in range(1 - n, n) if g])
+        word = st.lists(letters, max_size=12).map(lambda ls: BraidWord(n, ls))
+        return st.tuples(word, word)
+
+    return st.integers(min_index, max_index).flatmap(pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_pairs(2, 5))
+def test_normalize_matches_the_oracle(pair):
+    # wrapping a word in another and its inverse gives the seam pairs to
+    # strip, and random letters give free reduction some to cancel
+    core, wrap = pair
+    for w in (core, concat(wrap, core, inverse(wrap))):
+        assert _normalize(w) == oracle._normalize(w)
+
+
+def test_normalize_is_linear_in_seam_pairs():
+    # 3: 1^k 2 -1^k loses k pairs at the seam; stripping them one pair
+    # at a time is quadratic and takes well over the bound at this k
+    k = 20_000
+    w = BraidWord(3, (1,) * k + (2,) + (-1,) * k)
+    start = time.perf_counter()
+    reduced = cyclic_reduce(w)
+    core, moves = _normalize(w)
+    elapsed = time.perf_counter() - start
+    assert reduced == core == BraidWord(3, (2,))
+    assert moves == (Conjugate(BraidWord(3, (-1,))),) * k
+    assert elapsed < 1.0
 
 
 def test_two_syntactic_destabilizations():

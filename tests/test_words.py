@@ -1,7 +1,13 @@
 """Word layer: parsing, free reduction, permutations, closures."""
 
-import pytest
+import sys
 
+import _words_oracle as oracle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from braidcalc import words
 from braidcalc.words import (
     BraidWord,
     WordFormatError,
@@ -87,6 +93,53 @@ def test_parse_word_errors_carry_position():
             parse_word(text)
         line = text.count("\n") + 1
         assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def _texts(alphabet, max_size):
+    # "u" stands for "1_0" and "r" for more digits than int() converts
+    text = st.text(alphabet, max_size=max_size)
+    return text.map(lambda s: s.replace("u", "1_0").replace("r", "1" * 5000))
+
+
+# signed ASCII numbers, separators that str.isspace() accepts (U+001C
+# among them) and characters that int() alone would read as digits
+_ANY = "0123456789+-:x \n\t\u00a0\u2003\u001c\u00b2\u0661\uff19ur"
+_LETTERS = ["1 ", "-1\n", "+2\t", "-2\u00a0", "1\u2003", "2\u001c", "0 ", "1-2 "]
+# most texts have a colon after a plausible strand count, so the letters
+# are read too, and many of those letters are in range
+word_texts = st.one_of(
+    _texts(_ANY, 40),
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["3", " 4", "5\n", "\u00a06", "+4"]) | _texts(_ANY, 3),
+        _texts(_ANY, 40)
+        | st.lists(st.sampled_from(_LETTERS), max_size=12).map("".join),
+    ),
+)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except WordFormatError as err:
+        return str(err), err.line, err.column
+
+
+@settings(max_examples=2000, deadline=None)
+@given(word_texts)
+def test_parse_word_matches_the_oracle(text):
+    assert _outcome(parse_word, text) == _outcome(oracle.parse_word, text)
+
+
+def test_token_pattern_splits_where_isspace_does():
+    # the reader splits with a regular expression and strips the strand
+    # count with str.strip(); both must agree on every code point
+    disagree = [
+        hex(c)
+        for c in range(sys.maxunicode + 1)
+        if (words._TOKEN.fullmatch(chr(c)) is None) != chr(c).isspace()
+    ]
+    assert disagree == []
 
 
 def test_free_reduce():
