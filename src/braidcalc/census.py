@@ -109,6 +109,12 @@ def _excess(a: int, b: int) -> int:
     return 2 * a + b - 4
 
 
+def _positive_excess(vc: VertexCensus) -> int:
+    # what the types of positive excess pay into a balance's right side
+    excess = ((_excess(a, b), count) for (a, b), count in vc.counts)
+    return sum(e * count for e, count in excess if e > 0)
+
+
 def euler_balance_annulus(vc: VertexCensus, es: int) -> int:
     """Residual of the annulus balance identity; 0 means consistent.
 
@@ -124,22 +130,14 @@ def euler_balance_annulus(vc: VertexCensus, es: int) -> int:
         + 2 * vc.get(0, 2)
         + vc.get(0, 3)
     )
-    rhs = 2 * es + sum(
-        _excess(a, b) * count
-        for (a, b), count in vc.counts
-        if _excess(a, b) > 0
-    )
+    rhs = 2 * es + _positive_excess(vc)
     return lhs - rhs
 
 
 def euler_balance_surface(vc: VertexCensus, chi: int) -> int:
     """Residual of the closed-surface variant, with 4 * chi on the right."""
     lhs = vc.get(1, 1) + 2 * vc.get(0, 2) + vc.get(0, 3)
-    rhs = 4 * chi + sum(
-        _excess(a, b) * count
-        for (a, b), count in vc.counts
-        if _excess(a, b) > 0
-    )
+    rhs = 4 * chi + _positive_excess(vc)
     return lhs - rhs
 
 

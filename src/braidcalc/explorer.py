@@ -187,9 +187,7 @@ def search_reduce(
         _, parent, edge = nodes[at]
         path.extend(reversed(edge))
         at = parent
-    tower = Tower(w)
-    for move in reversed(path):
-        tower = extend(tower, move)
+    tower = extend(Tower(w), *reversed(path))
     return SearchOutcome(
         best=tower,
         reached=tower.final,

@@ -283,10 +283,13 @@ class Tower:
         return tuple(w.index for w in self.words)
 
 
-def extend(tower: Tower, move: Move) -> Tower:
-    """Apply a move to the tower's final word and record the result."""
-    result = apply_move(tower.final, move)
-    return Tower(tower.initial, tower.steps + (TowerStep(move, result),))
+def extend(tower: Tower, *moves: Move) -> Tower:
+    """Apply each move in turn to the tower's final word and record it."""
+    steps, word = list(tower.steps), tower.final
+    for move in moves:
+        word = apply_move(word, move)
+        steps.append(TowerStep(move, word))
+    return Tower(tower.initial, tuple(steps))
 
 
 @dataclass(frozen=True)

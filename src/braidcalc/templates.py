@@ -37,7 +37,7 @@ from pathlib import Path
 
 from .invariants import fingerprint
 from .moves import Conjugate, Destabilize, Stabilize, Tower, extend
-from .words import BraidWord, _int_field, concat, inverse
+from .words import BraidWord, _int_field, inverse
 
 __all__ = [
     "CoverageError",
@@ -102,6 +102,7 @@ class Band:
 
     pos: int
     sign: int
+    span = 2  # the slots a band covers; not a field
 
 
 @dataclass(frozen=True)
@@ -120,23 +121,26 @@ class BlockRef:
 DiagramEntry = Band | BlockRef
 
 
-def _walk(weights, entries):
-    """Yield ``(entry, flow, base)`` for each entry, top to bottom.
+def _walk(flow, steps, first=1):
+    """Yield ``(step, covered, base)`` for each step, top to bottom.
 
-    ``flow`` is the list of slot weights entering the entry and ``base``
-    is the first strand of its slot ``pos``.  A band's two slots swap
-    only when the caller resumes the walk, so a caller can check the
-    band's slot before the swap reads it.  The same list is yielded
-    every time; copy what must outlive the step.
+    A step is a :class:`Band`, a :class:`BlockRef`, or a block letter
+    ``±j``, the band across the block's ``j``-th and ``(j+1)``-th cables.
+    ``covered`` copies the weights of the slots the step covers and
+    ``base`` is its first strand, counting from ``first``.  A band swaps
+    its slots in the caller's ``flow`` when the walk resumes, so the
+    caller can check it first; ``flow`` ends as the leaving weights.
     """
 
-    flow = list(weights)
-    for entry in entries:
-        if not isinstance(entry, (Band, BlockRef)):
-            raise TypeError(f"not a diagram entry: {entry!r}")
-        yield entry, flow, 1 + sum(flow[: entry.pos - 1])
-        if isinstance(entry, Band):
-            i = entry.pos
+    for step in steps:
+        if isinstance(step, int):
+            i, span = abs(step), 2
+        elif isinstance(step, (Band, BlockRef)):
+            i, span = step.pos, step.span
+        else:
+            raise TypeError(f"not a diagram entry: {step!r}")
+        yield step, flow[i - 1 : i - 1 + span], first + sum(flow[: i - 1])
+        if not isinstance(step, BlockRef):
             flow[i - 1], flow[i] = flow[i], flow[i - 1]
 
 
@@ -166,28 +170,34 @@ class BlockStrandDiagram:
                 f"weights {weights} sum to {sum(weights)}, index is {index}"
             )
         slots = len(weights)
-        for entry, flow, _ in _walk(weights, entries):
+        spans: dict[str, int] = {}
+        for entry, covered, _ in _walk(list(weights), entries):
             if isinstance(entry, Band):
                 if entry.sign not in (1, -1):
                     raise ValueError(f"band sign must be +1 or -1: {entry}")
                 if not 1 <= entry.pos <= slots - 1:
                     raise ValueError(f"band slot out of range: {entry}")
+            elif not isinstance(entry, BlockRef):
+                raise TypeError(f"not a diagram entry: {entry!r}")
             else:
                 if entry.span < 1:
                     raise ValueError(f"block span must be >= 1: {entry}")
                 if not 1 <= entry.pos <= slots - entry.span + 1:
                     raise ValueError(f"block slots out of range: {entry}")
-                entering = flow[entry.pos - 1 : entry.pos - 1 + entry.span]
-                if sum(entering) < 2:
+                if sum(covered) < 2:
                     raise ValueError(
                         f"block {entry.id!r} has entering weight"
-                        f" {sum(entering)}, needs at least 2"
+                        f" {sum(covered)}, needs at least 2"
                     )
                 if entry.span >= index and not post_destabilization:
                     raise ValueError(
                         f"block {entry.id!r} spans {entry.span} of {index}"
                         " strands; only post-destabilization diagrams allow"
                         " a full-width block"
+                    )
+                if spans.setdefault(entry.id, entry.span) != entry.span:
+                    raise ValueError(
+                        f"block {entry.id!r} appears with two spans"
                     )
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "weights", weights)
@@ -198,15 +208,8 @@ class BlockStrandDiagram:
 
     @property
     def blocks(self) -> dict[str, int]:
-        """Map block id to its span; repeats must agree."""
-        spans: dict[str, int] = {}
-        for entry in self.entries:
-            if isinstance(entry, BlockRef):
-                if spans.setdefault(entry.id, entry.span) != entry.span:
-                    raise ValueError(
-                        f"block {entry.id!r} appears with two spans"
-                    )
-        return spans
+        """Map block id to its span, which its repeats share."""
+        return {e.id: e.span for e in self.entries if isinstance(e, BlockRef)}
 
 
 Assignment = dict[str, BraidWord]
@@ -254,11 +257,41 @@ def band_expand(a: int, b: int, p: int, sign: int, n: int) -> BraidWord:
             f"bundle out of range: weights ({a}, {b}) at strand {p}"
             f" in {n} strands"
         )
-    letters: list[int] = []
-    for r in range(b):
-        for s in range(p + a - 1 + r, p + r - 1, -1):
-            letters.append(sign * s)
-    return BraidWord(n, letters)
+    return BraidWord(n, _crossing(a, b, p, sign))
+
+
+def _crossing(a: int, b: int, p: int, sign: int) -> list[int]:
+    # the letters of band_expand, whose range checks the caller has made
+    return [
+        sign * s for r in range(b) for s in range(p + a - 1 + r, p + r - 1, -1)
+    ]
+
+
+def _expansion(d: BlockStrandDiagram, asg: Assignment):
+    """Yield each entry with the letters :func:`expand` emits for it."""
+    missing = sorted(set(d.blocks) - set(asg))
+    if missing:
+        raise CoverageError(f"assignment misses blocks: {missing}")
+    for entry, covered, base in _walk(list(d.weights), d.entries):
+        if isinstance(entry, Band):
+            yield entry, _crossing(*covered, base, entry.sign)
+            continue
+        word = asg[entry.id]
+        if word.index != entry.span:
+            raise IndexMismatch(
+                f"block {entry.id!r} has {entry.span} cables,"
+                f" assigned word has {word.index} strands"
+            )
+        cables = list(covered)
+        letters: list[int] = []
+        for g, (a, b), p in _walk(cables, word.letters, base):
+            letters += _crossing(a, b, p, 1 if g > 0 else -1)
+        if cables != covered:
+            raise WeightFlowError(
+                f"block {entry.id!r}: cables enter as {covered} but"
+                f" leave as {cables}"
+            )
+        yield entry, letters
 
 
 def expand(d: BlockStrandDiagram, asg: Assignment) -> BraidWord:
@@ -270,46 +303,8 @@ def expand(d: BlockStrandDiagram, asg: Assignment) -> BraidWord:
     entering cable weights in their original order.
     """
 
-    missing = sorted(set(d.blocks) - set(asg))
-    if missing:
-        raise CoverageError(f"assignment misses blocks: {missing}")
-    n = d.index
-    letters: list[int] = []
-    for entry, flow, base in _walk(d.weights, d.entries):
-        if isinstance(entry, Band):
-            a, b = flow[entry.pos - 1], flow[entry.pos]
-            letters.extend(band_expand(a, b, base, entry.sign, n).letters)
-        else:
-            word = asg[entry.id]
-            if word.index != entry.span:
-                raise IndexMismatch(
-                    f"block {entry.id!r} has {entry.span} cables,"
-                    f" assigned word has {word.index} strands"
-                )
-            entering = flow[entry.pos - 1 : entry.pos - 1 + entry.span]
-            cables = list(entering)
-            for g in word.letters:
-                j = abs(g)
-                sign = 1 if g > 0 else -1
-                p = base + sum(cables[: j - 1])
-                letters.extend(
-                    band_expand(cables[j - 1], cables[j], p, sign, n).letters
-                )
-                cables[j - 1], cables[j] = cables[j], cables[j - 1]
-            if cables != entering:
-                raise WeightFlowError(
-                    f"block {entry.id!r}: cables enter as {entering} but"
-                    f" leave as {cables}"
-                )
-    return BraidWord(n, letters)
-
-
-def _preserves_vector(letters: tuple[int, ...], vec: tuple[int, ...]) -> bool:
-    cables = list(vec)
-    for g in letters:
-        j = abs(g)
-        cables[j - 1], cables[j] = cables[j], cables[j - 1]
-    return cables == list(vec)
+    parts = _expansion(d, asg)
+    return BraidWord(d.index, [g for _, part in parts for g in part])
 
 
 def sample_assignment(
@@ -322,13 +317,13 @@ def sample_assignment(
     weight order are redrawn.
     """
 
-    # entering cable weights of every block occurrence on either side
-    constraints: dict[str, list[tuple[int, ...]]] = {}
+    # the entering cable weights of each block on either side; a word
+    # cannot reorder cables that all weigh the same
+    entering: dict[str, set[tuple[int, ...]]] = {}
     for diagram in (t.plus, t.minus):
-        for entry, flow, _ in _walk(diagram.weights, diagram.entries):
-            if isinstance(entry, BlockRef):
-                vec = tuple(flow[entry.pos - 1 : entry.pos - 1 + entry.span])
-                constraints.setdefault(entry.id, []).append(vec)
+        for entry, covered, _ in _walk(list(diagram.weights), diagram.entries):
+            if isinstance(entry, BlockRef) and len(set(covered)) > 1:
+                entering.setdefault(entry.id, set()).add(tuple(covered))
     asg: Assignment = {}
     for name, span in sorted(t.blocks.items()):
         choices = [g for g in range(-(span - 1), span) if g != 0]
@@ -338,13 +333,18 @@ def sample_assignment(
             letters = tuple(
                 rng.choice(choices) for _ in range(length if choices else 0)
             )
-            if all(
-                _preserves_vector(letters, vec)
-                for vec in constraints.get(name, [])
-            ):
+            if all(_leaving(v, letters) == v for v in entering.get(name, ())):
                 asg[name] = BraidWord(span, letters)
                 break
     return asg
+
+
+def _leaving(entering: tuple[int, ...], letters) -> tuple[int, ...]:
+    """The cable weights a block's word leaves with."""
+    cables = list(entering)
+    for _ in _walk(cables, letters):
+        pass
+    return tuple(cables)
 
 
 @dataclass(frozen=True)
@@ -414,20 +414,18 @@ def sigma_budget(d: BlockStrandDiagram) -> int:
     count of letters ``n - 1`` in any expansion of the diagram.
     """
 
-    top, count = d.index - 1, 0
-    for entry, flow, base in _walk(d.weights, d.entries):
-        if isinstance(entry, BlockRef):
-            total = sum(flow[entry.pos - 1 : entry.pos - 1 + entry.span])
-            if base + total - 1 >= d.index:
-                raise BlockOnLastStrand(
-                    f"block {entry.id!r} spans strands"
-                    f" {base}..{base + total - 1} of {d.index}"
-                )
-        else:
-            a, b = flow[entry.pos - 1], flow[entry.pos]
-            letters = band_expand(a, b, base, entry.sign, d.index).letters
-            count += sum(1 for g in letters if abs(g) == top)
-    return count
+    for entry, covered, base in _walk(list(d.weights), d.entries):
+        if isinstance(entry, BlockRef) and base + sum(covered) - 1 >= d.index:
+            raise BlockOnLastStrand(
+                f"block {entry.id!r} spans strands"
+                f" {base}..{base + sum(covered) - 1} of {d.index}"
+            )
+    bare = {name: BraidWord(span, ()) for name, span in d.blocks.items()}
+    return sum(
+        letters.count(entry.sign * (d.index - 1))
+        for entry, letters in _expansion(d, bare)
+        if isinstance(entry, Band)
+    )
 
 
 def non_carry_certificate(d: BlockStrandDiagram, min_last_count: int) -> bool:
@@ -720,32 +718,22 @@ def _segment_tower(
 ) -> Tower:
     """Stabilize, carry each leading segment around, destabilize.
 
-    The side is cut before every block that follows a band, and each
-    segment is expanded on its own.  That equals cutting the side's
-    expansion only when every weight is 1, which this assumes.  The
-    moves record one full trip of the marked strand around the closure,
-    one conjugation per segment it crosses.
+    The side's expansion is cut before every block that follows a band.
+    The moves record one full trip of the marked strand around the
+    closure, one conjugation per segment it crosses.
     """
 
-    parts: list[list[DiagramEntry]] = [[]]
-    for entry in side.entries:
-        if isinstance(entry, BlockRef) and parts[-1] and isinstance(
-            parts[-1][-1], Band
-        ):
-            parts.append([])
-        parts[-1].append(entry)
-    segments = [
-        expand(BlockStrandDiagram(side.index, side.weights, part), asg)
-        for part in parts
-    ]
-    initial = concat(*segments)
-    n = initial.index
-    tower = Tower(initial)
-    tower = extend(tower, Stabilize(sign))
-    for seg in segments[:-1]:
-        lifted = BraidWord(n + 1, seg.letters)
-        tower = extend(tower, Conjugate(inverse(lifted)))
-    return extend(tower, Destabilize(sign))
+    segments: list[list[int]] = [[]]
+    previous = None
+    for entry, letters in _expansion(side, asg):
+        if isinstance(entry, BlockRef) and isinstance(previous, Band):
+            segments.append([])
+        segments[-1] += letters
+        previous = entry
+    n = side.index
+    initial = BraidWord(n, [g for seg in segments for g in seg])
+    carries = [Conjugate(inverse(BraidWord(n + 1, s))) for s in segments[:-1]]
+    return extend(Tower(initial), Stabilize(sign), *carries, Destabilize(sign))
 
 
 def cyclic_tower(k: int, asg: Assignment) -> Tower:

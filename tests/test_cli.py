@@ -346,8 +346,9 @@ def _edited(doc, *changes):
 
 
 # each a document that a loose decoder reads as a valid one: the
-# destabilize_pos template, where "P=2: 1" expands to "3: 1 2", and a
-# consistent census
+# destabilize_pos template, where "P=2: 1" expands to "3: 1 2", a
+# consistent census, and a diagram whose block P has spans 2 and 3, each
+# clear of the last strand
 _TEMPLATE = template_to_json(make_destabilize(1))
 _CENSUS = {"V": [{"a": 1, "b": 1, "count": 4}], "Ea": 4, "Eb": 2, "Es": 2}
 _DOCUMENTS = {
@@ -366,6 +367,14 @@ _DOCUMENTS = {
     "{count-float}": _edited(_CENSUS, (("V", 0), "count", 4.9)),
     "{es-float}": _edited(_CENSUS, ((), "Es", 2.5)),
     "{chi-bool}": _edited(_CENSUS, ((), "chi", True)),
+    "{two-spans}": {
+        "n": 4,
+        "weights": [1, 1, 1, 1],
+        "entries": [
+            {"kind": "block", "id": "P", "span": 2},
+            {"kind": "block", "id": "P", "span": 3},
+        ],
+    },
 }
 
 
@@ -416,6 +425,7 @@ _DOCUMENTS = {
         ["{bad-catalog}", "expand", "cyclic4"],
         ["{bad-catalog}", "verify-template", "cyclic4"],
         ["{bad-catalog}", "certify", "cyclic4", "--min-last-count", "1"],
+        ["certify", "{two-spans}", "--min-last-count", "2"],
     ],
     ids=[
         "verify-template-dir",
@@ -453,6 +463,7 @@ _DOCUMENTS = {
         "catalog-expand",
         "catalog-verify-template",
         "catalog-certify",
+        "diagram-two-spans",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
@@ -485,11 +496,16 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     for number, (name, doc) in enumerate(_DOCUMENTS.items()):
         files[name] = tmp_path / f"doc{number}.json"
         files[name].write_text(json.dumps(doc))
+    two_spans = "{two-spans}" in argv
     argv = [str(files.get(a, a)) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: bad ")
     assert "Traceback" not in err
+    if two_spans:
+        assert err == (
+            "error: bad diagram file: block 'P' appears with two spans\n"
+        )
 
 
 def _interface(parser):

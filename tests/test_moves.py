@@ -227,6 +227,17 @@ def test_tower_construction_and_replay():
     assert len(report.fingerprints) == 3
 
 
+def test_extend_applies_many_moves_in_order():
+    start = BraidWord(2, (1,))
+    moves = (Stabilize(1), Conjugate(BraidWord(3, (2,))), Destabilize(1))
+    one_by_one = Tower(start)
+    for move in moves:
+        one_by_one = extend(one_by_one, move)
+    assert extend(Tower(start), *moves) == one_by_one
+    assert extend(extend(Tower(start), moves[0]), *moves[1:]) == one_by_one
+    assert extend(one_by_one) == one_by_one
+
+
 def test_replay_flags_corrupted_steps():
     tower = Tower(
         BraidWord(2, (1,)),

@@ -5,10 +5,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _templates_oracle as oracle
 from braidcalc.garside import is_trivial, words_equal
 from braidcalc.invariants import fingerprint
-from braidcalc.moves import replay
+from braidcalc.moves import replay, tower_to_json
 from braidcalc.templates import (
     Band,
     BlockOnLastStrand,
@@ -32,6 +35,7 @@ from braidcalc.templates import (
     make_destabilize,
     make_exchange,
     make_flype,
+    make_gflype6,
     make_microflype,
     non_carry_certificate,
     sample_assignment,
@@ -99,6 +103,15 @@ def test_diagram_validation():
     BlockStrandDiagram(
         2, (1, 1), (BlockRef("P", 2, 1),), post_destabilization=True
     )
+
+
+def test_diagram_rejects_two_spans_for_one_block():
+    # each occurrence alone is valid; together they disagree on P's span
+    entries = (BlockRef("P", 2), BlockRef("P", 3))
+    with pytest.raises(ValueError, match="block 'P' appears with two spans"):
+        BlockStrandDiagram(4, (1, 1, 1, 1), entries)
+    d = BlockStrandDiagram(4, (1, 1, 1, 1), (BlockRef("P", 2),) * 2)
+    assert d.blocks == {"P": 2}
 
 
 def test_template_requires_matching_blocks():
@@ -325,3 +338,106 @@ def test_gflype_tower_profile():
     report = replay(tower)
     assert report.ok and report.constant
     assert free_reduce(tower.final) == free_reduce(tower.initial)
+
+
+def _outcome(fn, *args):
+    # a result, or the class and message of the exception it raised
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@st.composite
+def diagrams(draw):
+    # 2-5 slots of weight 1-3 and up to 8 entries, each kept only if the
+    # diagram stays valid; the ids P, Q, R keep one span each
+    weights = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    slots, index = len(weights), sum(weights)
+    post = draw(st.booleans())
+    spans = {name: draw(st.integers(1, slots)) for name in "PQR"}
+    entries: list = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            pos = draw(st.integers(1, slots - 1))
+            entry = Band(pos, draw(st.sampled_from((1, -1))))
+        else:
+            name = draw(st.sampled_from("PQR"))
+            pos = draw(st.integers(1, slots - spans[name] + 1))
+            entry = BlockRef(name, spans[name], pos)
+        try:
+            BlockStrandDiagram(index, weights, entries + [entry], post)
+        except ValueError:
+            continue
+        entries.append(entry)
+    return BlockStrandDiagram(index, weights, entries, post)
+
+
+def _block_word(draw, span):
+    choices = [g for g in range(1 - span, span) if g != 0]
+    letters = []
+    if choices:
+        letters = draw(st.lists(st.sampled_from(choices), max_size=6))
+    if draw(st.integers(0, 2)) == 0:
+        # a word then its inverse leaves every cable where it entered
+        letters = letters + [-g for g in reversed(letters)]
+    return BraidWord(span, letters)
+
+
+@st.composite
+def assignments(draw, d):
+    # per block a random word, no word, or a word on the wrong strand
+    # count; an id the diagram lacks is ignored
+    asg = {}
+    for name, span in d.blocks.items():
+        kind = draw(st.sampled_from(("word",) * 4 + ("missing", "index")))
+        if kind == "word":
+            asg[name] = _block_word(draw, span)
+        elif kind == "index":
+            wrong = [k for k in (span - 1, span + 1) if k >= 1]
+            asg[name] = _block_word(draw, draw(st.sampled_from(wrong)))
+    if draw(st.booleans()):
+        asg["Z"] = BraidWord(2, (1,))
+    return asg
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_expansion_matches_the_oracle(data):
+    d = data.draw(diagrams())
+    asg = data.draw(assignments(d))
+    assert _outcome(expand, d, asg) == _outcome(oracle.expand, d, asg)
+    assert _outcome(sigma_budget, d) == _outcome(oracle.sigma_budget, d)
+    seed = data.draw(st.integers(0, 2**16))
+    t = Template("t", d, d)
+    assert sample_assignment(t, random.Random(seed), 4) == (
+        oracle.sample_assignment(t, random.Random(seed), 4)
+    )
+
+
+def test_sampling_matches_the_oracle():
+    templates = catalog() + [
+        make_flype(1, 2, 3, 2, 1),
+        make_destabilize(1, 2),
+        make_exchange(2),
+    ]
+    for t in templates:
+        for seed in range(20):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(10):
+                assert sample_assignment(t, mine) == (
+                    oracle.sample_assignment(t, theirs)
+                )
+
+
+def test_towers_match_the_oracle():
+    cyclic, gflype = make_cyclic(4), make_gflype6()
+    for seed in range(200):
+        for t, tower, sign in (
+            (cyclic, lambda a: cyclic_tower(4, a), 1),
+            (gflype, gflype_tower, -1),
+        ):
+            asg = sample_assignment(t, random.Random(seed))
+            mine = json.dumps(tower_to_json(tower(asg)))
+            theirs = oracle._segment_tower(t.plus, asg, sign)
+            assert mine == json.dumps(tower_to_json(theirs))
