@@ -1,27 +1,36 @@
 """Link fingerprints of braid closures.
 
 The fingerprint of a word pairs the component count of its closure with
-the one variable Alexander polynomial, computed exactly from the reduced
-Burau representation over integer Laurent polynomials:
+the one variable Alexander polynomial
 
     alexander(w) = det(burau(w) - I) / (1 + t + ... + t^(n-1))
 
 normalized so the lowest exponent is zero and the lowest coefficient is
-positive.  The Burau product is built by rewriting one column per
-letter and the determinant by fraction-free Bareiss elimination, whose
-divisions are exact, so both take time polynomial in the strand count
-and the word length.  Both entries are unchanged by conjugation, by both
-stabilizations and by exchange moves, so a fingerprint mismatch
-certifies that two closures are different links.  The self linking
-number, exponent sum minus strand count, is deliberately kept out of
-the fingerprint: it drops by two under negative stabilization and is
-reported separately.
+positive.  ``burau`` is the reduced Burau matrix over integer Laurent
+polynomials, built by rewriting one column per letter.  ``alexander``
+does the same column updates on packed integers instead (Kronecker
+substitution): every entry is evaluated at t = 2^K, column j scaled by
+t^e_j so that a letter's t^-1 stays integral, and the determinant is
+integer Bareiss elimination, whose divisions are exact.  The result is
+read back as balanced base 2^K digits, which is exact when every
+coefficient is below 2^(K-1) in size.  K is sized twice.  A per-column
+recurrence on L1 norms bounds the entries; decoding them gives their
+true L1 norms, and since a coefficient is at most the polynomial's
+maximum on the unit circle, Hadamard's bound there (the product of the
+column norms) bounds the determinant and fixes the K it is computed at.
+The division by ``1 + ... + t^(n-1)`` stays an exact Laurent division.
+Both entries are unchanged by conjugation, by both stabilizations and
+by exchange moves, so a fingerprint mismatch certifies that two
+closures are different links.  The self linking number, exponent sum
+minus strand count, is deliberately kept out of the fingerprint: it
+drops by two under negative stabilization and is reported separately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from math import isqrt
 
 from .words import BraidWord, closure_components, exponent_sum
 
@@ -188,30 +197,101 @@ def burau(w: BraidWord) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def _det(mat: Matrix) -> LaurentPoly:
-    # fraction-free Bareiss elimination (Math. Comp. 22, 1968): each
-    # entry update divides exactly by the previous pivot, and a zero
-    # pivot is replaced by a row swap that flips the sign
-    a = [list(row) for row in mat]
+def _digits(x: int, k: int) -> list[int]:
+    # the coefficients, lowest first, of the polynomial p with p(2^k) = x
+    # whose coefficients lie in [-2^(k-1), 2^(k-1)): balanced base 2^k
+    # digits, unique when every true coefficient is that small.  Long
+    # numbers split in halves, so the cost is not quadratic in the length
+    count = x.bit_length() // k + 1
+    if count > 64:
+        h = count // 2
+        # the low h digits make a value in [-shift, 2^(kh) - shift)
+        shift = int(f"{1 << (k - 1):b}" * h, 2)
+        low = ((x + shift) & ((1 << k * h) - 1)) - shift
+        digits = _digits(low, k)
+        high = _digits((x - low) >> k * h, k)
+        return digits + [0] * (h - len(digits)) + high
+    mask, offset = (1 << k) - 1, 1 << (k - 1)
+    out = []
+    while x:
+        d = ((x + offset) & mask) - offset
+        out.append(d)
+        x = (x - d) >> k
+    return out
+
+
+def _pack(coeffs: list[int], k: int) -> int:
+    # the polynomial with these coefficients, lowest first, at 2^k
+    if len(coeffs) > 64:
+        h = len(coeffs) // 2
+        return _pack(coeffs[:h], k) + (_pack(coeffs[h:], k) << k * h)
+    x = 0
+    for c in reversed(coeffs):
+        x = (x << k) + c
+    return x
+
+
+def _packed_burau_minus_identity(
+    w: BraidWord,
+) -> tuple[list[list[int]], list[int], int]:
+    # the columns of burau(w) - I evaluated at t = 2^k, with column j
+    # stored times t^e_j so that every entry is a polynomial, then the
+    # e_j and k.  A letter rewrites column c from its neighbours as
+    # burau does, its t and t^-1 folded into shifts by the least
+    # exponent that keeps the column integral.
+    m = w.index - 1
+    # a rewritten entry's L1 norm is at most the sum of its three
+    # sources', so with the running column maxima, max(l1) + 1 bounds
+    # every coefficient of burau(w) - I
+    l1 = [0, *[1] * m, 0]
+    for g in w.letters:
+        c = abs(g)
+        l1[c] += l1[c - 1] + l1[c + 1]
+    k = (max(l1) + 1).bit_length() + 1
+    pad = [0] * m
+    cols = [pad, *([int(i == j) for i in range(m)] for j in range(m)), pad]
+    bits = [0] * (m + 2)  # k * e_j, with a zero column on either side
+    for g in w.letters:
+        c = abs(g)
+        el, ec, er = bits[c - 1], bits[c], bits[c + 1]
+        if g > 0:  # t * (left - col) + right
+            e = max(el - k, ec - k, er)
+            sl, sc, sr = e + k - el, e + k - ec, e - er
+        else:  # left + t^-1 * (right - col)
+            e = max(el, ec + k, er + k)
+            sl, sc, sr = e - el, e - k - ec, e - k - er
+        cols[c] = [
+            (a << sl) - (b << sc) + (d << sr)
+            for a, b, d in zip(cols[c - 1], cols[c], cols[c + 1])
+        ]
+        bits[c] = e
+    cols, bits = cols[1:-1], bits[1:-1]
+    for j, col in enumerate(cols):
+        col[j] -= 1 << bits[j]
+    return cols, [b // k for b in bits], k
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    # integer Bareiss elimination (Math. Comp. 22, 1968): each update
+    # divides exactly by the previous pivot, and a zero pivot is
+    # replaced by a row swap that flips the sign
     m = len(a)
-    if m == 0:
-        return LaurentPoly.one()
-    sign, prev = 1, LaurentPoly.one()
+    sign, prev = 1, 1
     for k in range(m - 1):
-        if a[k][k].is_zero():
-            rest = [i for i in range(k + 1, m) if not a[i][k].is_zero()]
+        if not a[k][k]:
+            rest = [i for i in range(k + 1, m) if a[i][k]]
             if not rest:
-                return LaurentPoly.zero()
+                return 0
             a[k], a[rest[0]] = a[rest[0]], a[k]
             sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, m):
+        top = a[k]
+        pivot = top[k]
+        for row in a[k + 1:]:
+            lead = row[k]
             for j in range(k + 1, m):
-                a[i][j] = (
-                    a[i][j] * pivot - a[i][k] * a[k][j]
-                ).exact_div(prev)
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
         prev = pivot
-    return a[-1][-1] if sign > 0 else -a[-1][-1]
+    return sign * a[-1][-1]
 
 
 def alexander(w: BraidWord) -> LaurentPoly:
@@ -224,14 +304,28 @@ def alexander(w: BraidWord) -> LaurentPoly:
 
     if w.index == 1:
         return LaurentPoly.one()
-    one = LaurentPoly.one()
-    det = _det(
-        tuple(
-            tuple(x - one if i == j else x for j, x in enumerate(row))
-            for i, row in enumerate(burau(w))
+    cols, exps, k = _packed_burau_minus_identity(w)
+    # each coefficient of the determinant is at most its maximum on
+    # the unit circle, which Hadamard bounds by the product of the
+    # column norms, and an entry's modulus there is at most its L1 norm;
+    # `bound` is that product squared.  With every factor at least 1 it
+    # covers each minor that Bareiss tests for zero too, so the row
+    # swaps are those of the Laurent elimination.
+    bound, coeffs = 1, []
+    for j, col in enumerate(cols):
+        # drop the column's common power of t: a nonzero x has fewer
+        # than k trailing zero bits above its lowest nonzero field
+        low = min(
+            (((x & -x).bit_length() - 1) // k for x in col if x), default=0
         )
-    )
-    return det.exact_div(LaurentPoly(0, (1,) * w.index)).normalized()
+        exps[j] -= low
+        entries = [_digits(x >> k * low, k) for x in col]
+        bound *= max(sum(sum(map(abs, cs)) ** 2 for cs in entries), 1)
+        coeffs.append(entries)
+    kd = (isqrt(bound) + 1).bit_length() + 1
+    det = _bareiss([[_pack(cs, kd) for cs in row] for row in zip(*coeffs)])
+    poly = LaurentPoly(-sum(exps), tuple(_digits(det, kd)))
+    return poly.exact_div(LaurentPoly(0, (1,) * w.index)).normalized()
 
 
 @dataclass(frozen=True)

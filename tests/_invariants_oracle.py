@@ -9,12 +9,19 @@ coefficient.  It is the oracle for differential tests of
 update: every letter becomes a full ``(n - 1) x (n - 1)`` generator
 matrix and the running product is multiplied by it.  It is the oracle
 for :func:`braidcalc.invariants.burau`.
+
+``_det`` and ``alexander`` are the Alexander polynomial as it was
+before it moved to packed integers: fraction-free Bareiss elimination
+over Laurent polynomials applied to ``burau(w) - I``, then the exact
+quotient by ``1 + t + ... + t^(n-1)``.  They are the oracle for
+:func:`braidcalc.invariants.alexander`.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
+from braidcalc import invariants
 from braidcalc.invariants import DivisibilityFailure, LaurentPoly
 from braidcalc.words import BraidWord
 
@@ -235,3 +242,44 @@ def burau(w: BraidWord) -> Matrix:
     for g in w.letters:
         m = _mat_mul(m, _generator_matrix(w.index, g))
     return m
+
+
+def _det(mat: Matrix) -> LaurentPoly:
+    # fraction-free Bareiss elimination (Math. Comp. 22, 1968): each
+    # entry update divides exactly by the previous pivot, and a zero
+    # pivot is replaced by a row swap that flips the sign
+    a = [list(row) for row in mat]
+    m = len(a)
+    if m == 0:
+        return LaurentPoly.one()
+    sign, prev = 1, LaurentPoly.one()
+    for k in range(m - 1):
+        if a[k][k].is_zero():
+            rest = [i for i in range(k + 1, m) if not a[i][k].is_zero()]
+            if not rest:
+                return LaurentPoly.zero()
+            a[k], a[rest[0]] = a[rest[0]], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                a[i][j] = (
+                    a[i][j] * pivot - a[i][k] * a[k][j]
+                ).exact_div(prev)
+        prev = pivot
+    return a[-1][-1] if sign > 0 else -a[-1][-1]
+
+
+def alexander(w: BraidWord) -> LaurentPoly:
+    """Normalized one variable Alexander polynomial of the closure."""
+
+    if w.index == 1:
+        return LaurentPoly.one()
+    one = LaurentPoly.one()
+    det = _det(
+        tuple(
+            tuple(x - one if i == j else x for j, x in enumerate(row))
+            for i, row in enumerate(invariants.burau(w))
+        )
+    )
+    return det.exact_div(LaurentPoly(0, (1,) * w.index)).normalized()

@@ -15,13 +15,15 @@ from braidcalc.invariants import (
     DivisibilityFailure,
     Fingerprint,
     LaurentPoly,
-    _det,
+    _digits,
+    _pack,
+    _packed_burau_minus_identity,
     alexander,
     burau,
     fingerprint,
     self_linking,
 )
-from braidcalc.words import BraidWord, concat, conjugate, rotate
+from braidcalc.words import BraidWord, concat, conjugate, parse_word, rotate
 
 
 def poly(d):
@@ -194,15 +196,18 @@ def test_self_linking():
     assert self_linking(down) == self_linking(w) - 2
 
 
-def small_words(max_index=4, max_size=10):
-    return st.integers(2, max_index).flatmap(
-        lambda n: st.lists(
-            st.integers(1, n - 1).flatmap(
-                lambda g: st.sampled_from((g, -g))
-            ),
-            max_size=max_size,
-        ).map(lambda ls: BraidWord(n, ls))
+def words_on(n, max_size):
+    letters = st.integers(1, max(n - 1, 1)).flatmap(
+        lambda g: st.sampled_from((g, -g))
     )
+    # one strand has no generators, so only the empty word
+    return st.lists(letters, max_size=max_size if n > 1 else 0).map(
+        lambda ls: BraidWord(n, ls)
+    )
+
+
+def small_words(max_index=4, max_size=10):
+    return st.integers(2, max_index).flatmap(lambda n: words_on(n, max_size))
 
 
 @settings(max_examples=50, deadline=None)
@@ -290,7 +295,67 @@ def burau_minus_identity(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(sparse_matrices(), burau_minus_identity()))
 def test_det_matches_sympy(mat):
-    assert _det(mat) == sympy_det(mat)
+    assert oracle._det(mat) == sympy_det(mat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: words_on(n, 80)))
+def test_alexander_matches_oracle(w):
+    assert alexander(w) == oracle.alexander(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10).flatmap(lambda n: words_on(n, 40)))
+def test_packed_burau_decodes_to_burau_minus_identity(w):
+    cols, exps, k = _packed_burau_minus_identity(w)
+    mat = burau(w)
+    for j, col in enumerate(cols):
+        for i, x in enumerate(col):
+            want = mat[i][j] - LaurentPoly.term(int(i == j))
+            assert LaurentPoly(-exps[j], tuple(_digits(x, k))) == want
+
+
+def test_digits_invert_pack_up_to_the_extreme_digits():
+    rng = random.Random(3)
+    for k in (2, 3, 8, 31, 64, 65, 200):
+        lo, hi = -(1 << (k - 1)), (1 << (k - 1)) - 1
+        cases = [
+            [hi], [lo], [lo, hi] * 40, [hi, lo] * 70, [0] * 100 + [lo],
+            [1] + [0] * 200 + [-1],
+            [rng.randint(lo, hi) for _ in range(300)] + [hi],
+        ]
+        for cs in cases:
+            assert _digits(_pack(cs, k), k) == cs, (k, cs[:4])
+        assert _digits(0, k) == [] and _pack([], k) == 0
+
+
+def edge_words():
+    # alternating signs: negative balanced digits and carries in every
+    # packed entry, at growing bit widths
+    for k in range(1, 61):
+        yield BraidWord(3, (1, -2) * k)
+        yield BraidWord(4, (1, -2, 3) * k)
+    # only negative letters: every letter raises a column exponent
+    for k in range(1, 31):
+        yield BraidWord(5, (-1,) * k + (-4,) * k)
+        yield BraidWord(2, (-1,) * k)
+    # generators on the first and last columns only, either sign
+    rng = random.Random(7)
+    for n in range(2, 11):
+        for size in (1, 5, 20, 60):
+            letters = [rng.choice((1, -1, n - 1, 1 - n)) for _ in range(size)]
+            yield BraidWord(n, letters)
+    # the empty word, one strand, and split closures (determinant 0)
+    for n in range(1, 11):
+        yield BraidWord(n, ())
+    for text in ("4: 1 1 3", "5: 1 2 -4", "6: 1 -2 4 -5", "7: 1 2 3 -5 -6 5"):
+        yield parse_word(text)
+
+
+def test_alexander_edge_cases_match_oracle():
+    for w in edge_words():
+        assert alexander(w) == oracle.alexander(w), w
+    assert alexander(parse_word("5: 1 2 -4")) == LaurentPoly.zero()
 
 
 def test_alexander_is_polynomial_time():
