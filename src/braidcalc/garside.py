@@ -5,8 +5,10 @@ Every braid element has a unique expression ``D^p F1 F2 ... Fm`` where
 positive word in which any two strands cross at most once), the pair
 ``(Fi, Fi+1)`` is left weighted, no factor is trivial and no factor is
 the full half twist.  Permutation braids are stored as their endpoint
-permutations and all factor arithmetic happens on permutations, so no
-precomputed tables are needed and any strand count works.
+permutations and all factor arithmetic happens on permutations, so any
+strand count works.  Each public call keeps one table of bounded memos
+of the descents, left-weightings and lcms its products share; the table
+dies with the call.
 
 The normal form takes one pass over the freely reduced word.  A
 negative letter is ``D^-1 (D sigma_g^-1)``; moving every ``D^-1`` to
@@ -141,12 +143,21 @@ class NormalForm:
         return self.power == 0 and not self.factors
 
 
-def normal_form(w: BraidWord) -> NormalForm:
+class _Table:
+    # one per public call: bounded memos of the primitives its products share
+    def __init__(self):
+        self.entry = functools.lru_cache(1024)(_entry)
+        self.weigh = functools.lru_cache(1024)(_weigh)
+        self.lcm = functools.lru_cache(1024)(_lcm)
+
+
+def normal_form(w: BraidWord, table: _Table | None = None) -> NormalForm:
     """Compute the left normal form of a braid word.
 
     The word is freely reduced; the power is minus its number of negative
     letters, a letter's factor is flipped when an odd number of negative
-    letters follow it, and the factors go to ``_product``.
+    letters follow it, and the factors go to ``_product``.  ``table`` is
+    the memo of the calling Garside function, if any.
     """
     w = free_reduce(w)
     n = w.index
@@ -160,18 +171,17 @@ def normal_form(w: BraidWord) -> NormalForm:
             f = _tau(n - abs(g) if after % 2 else abs(g), n)
             yield _mul(w0, f) if g < 0 else f
 
-    return _product(n, -negatives, simples())
+    return _product(n, -negatives, simples(), table or _Table())
 
 
-def _product(n: int, q: int, simples) -> NormalForm:
+def _product(n: int, q: int, simples, table: _Table) -> NormalForm:
     # D^q times a product of simples, normalized as D^q F1 ... Fm D^r:
     # each arrives flipped by tau^r; a D the pass makes moves to the end
     twist = (1 << n) - 2  # the descents of D
     factors: list[Entry] = []
     r = 0
-    weigh = functools.lru_cache(1024)(_weigh)  # pairs recur in one product
     for f in simples:
-        entry = _entry(_flip(f, r))
+        entry = table.entry(_flip(f, r))
         if not entry[2]:
             continue  # the identity, as D sigma_1^-1 on two strands
         if entry[2] == twist:  # D; on one strand, the identity above
@@ -180,8 +190,9 @@ def _product(n: int, q: int, simples) -> NormalForm:
         factors.append(entry)
         j = len(factors) - 1
         while j and factors[j][1] & ~factors[j - 1][2]:
-            left, factors[j] = weigh(factors[j - 1], factors[j])
+            left, factors[j] = table.weigh(factors[j - 1], factors[j])
             if left[2] == twist:  # F1 ... D Y = F1 ... tau(Y) D
+                # not through the table: from n = 8 on, these re-flips fill it
                 factors[j - 1 :] = [_entry(_flip(g, 1)) for g, _, _ in factors[j:]]
                 r += 1
                 break
@@ -231,7 +242,8 @@ def words_equal(u: BraidWord, v: BraidWord) -> bool:
         raise ValueError(f"strand counts differ: {u.index} versus {v.index}")
     if exponent_sum(u) != exponent_sum(v) or permutation(u) != permutation(v):
         return False  # their images in Z or in S_n differ
-    return normal_form(u) == normal_form(v)
+    table = _Table()
+    return normal_form(u, table) == normal_form(v, table)
 
 
 def is_trivial(w: BraidWord) -> bool:
@@ -266,29 +278,29 @@ def _flip(p: Perm, k: int) -> Perm:
     return tuple(n + 1 - p[n - 1 - i] for i in range(n)) if k % 2 else p
 
 
-def _conj(x: NormalForm, s: Perm) -> NormalForm:
+def _conj(x: NormalForm, s: Perm, table: _Table) -> NormalForm:
     # s^-1 D^p A s = D^(p-1) tau^(p+1)(s^-1 D) A s, all of it positive
     top = _flip(_mul(_inv(s), _half_twist(x.index)), x.power + 1)
-    return _product(x.index, x.power - 1, (top, *x.factors, s))
+    return _product(x.index, x.power - 1, (top, *x.factors, s), table)
 
 
-def _cycle(x: NormalForm) -> NormalForm:
+def _cycle(x: NormalForm, table: _Table) -> NormalForm:
     # conjugation by D^p F1
     rest = [_flip(f, x.power) for f in x.factors[1:]]
-    return _product(x.index, x.power, (*rest, x.factors[0]))
+    return _product(x.index, x.power, (*rest, x.factors[0]), table)
 
 
-def _decycle(x: NormalForm) -> NormalForm:
+def _decycle(x: NormalForm, table: _Table) -> NormalForm:
     # conjugation by the inverse of the last factor
     last = _flip(x.factors[-1], x.power)
-    return _product(x.index, x.power, (last, *x.factors[:-1]))
+    return _product(x.index, x.power, (last, *x.factors[:-1]), table)
 
 
-def _settle(x: NormalForm, step, gains) -> tuple[NormalForm, bool]:
+def _settle(x: NormalForm, step, gains, table: _Table) -> tuple[NormalForm, bool]:
     # apply step, restarting the orbit at each gain, until it revisits
     seen, gained = {x}, False
     while x.factors:
-        y = step(x)
+        y = step(x, table)
         if gains(y, x):
             x, seen, gained = y, {y}, True
         elif y in seen:
@@ -299,11 +311,11 @@ def _settle(x: NormalForm, step, gains) -> tuple[NormalForm, bool]:
     return x, gained
 
 
-def _summit_representative(x: NormalForm) -> NormalForm:
+def _summit_representative(x: NormalForm, table: _Table) -> NormalForm:
     # raise inf by cycling, lower sup by decycling, until both settle
     while True:
-        x, raised = _settle(x, _cycle, lambda y, x: y.inf > x.inf)
-        x, lowered = _settle(x, _decycle, lambda y, x: y.sup < x.sup)
+        x, raised = _settle(x, _cycle, lambda y, x: y.inf > x.inf, table)
+        x, lowered = _settle(x, _decycle, lambda y, x: y.sup < x.sup, table)
         if not (raised or lowered):
             return x
 
@@ -338,16 +350,16 @@ def _inverse(x: NormalForm) -> NormalForm:
     return NormalForm(n, -p - len(ys), tuple(reversed(ys)))
 
 
-def _phi(s: Perm, y: NormalForm) -> Perm:
+def _phi(s: Perm, y: NormalForm, table: _Table) -> Perm:
     # s v c with c the least simple such that tau^q(s) left-divides
     # y1 ... yr c, for y = D^q y1 ... yr; c_k = y_k^-1 (c_(k-1) v y_k)
     c = _flip(s, y.power)
     for f in y.factors:
-        c = _mul(_inv(f), _lcm(c, f))
-    return _lcm(s, c)
+        c = _mul(_inv(f), table.lcm(c, f))
+    return table.lcm(s, c)
 
 
-def _minimal_simples(x: NormalForm) -> list[Perm]:
+def _minimal_simples(x: NormalForm, table: _Table) -> list[Perm]:
     # for each generator sigma_i, the least simple s above it with x^s
     # in the super summit set of x, which holds x.  phi_x(s) = s exactly
     # when conjugating by s keeps the infimum, and phi is monotone with
@@ -356,7 +368,7 @@ def _minimal_simples(x: NormalForm) -> list[Perm]:
     out: list[Perm] = []
     for i in range(1, n):
         s = _tau(i, n)
-        while (t := _phi(_phi(s, x), xi)) != s:
+        while (t := _phi(_phi(s, x, table), xi, table)) != s:
             s = t
         if s not in out:
             out.append(s)
@@ -389,8 +401,9 @@ def conjugacy_test(
     if cycle_type(permutation(u)) != cycle_type(permutation(v)):
         return ConjugacyReport(Verdict.NOT_CONJUGATE, 0)
 
-    nu = _summit_representative(normal_form(u))
-    nv = _summit_representative(normal_form(v))
+    table = _Table()
+    nu = _summit_representative(normal_form(u, table), table)
+    nv = _summit_representative(normal_form(v, table), table)
     if (nu.inf, nu.sup) != (nv.inf, nv.sup):
         return ConjugacyReport(Verdict.NOT_CONJUGATE, 2)
     if nu == nv:
@@ -401,8 +414,8 @@ def conjugacy_test(
     while frontier:
         next_frontier: list[NormalForm] = []
         for x in frontier:
-            for s in _minimal_simples(x):
-                y = _conj(x, s)
+            for s in _minimal_simples(x, table):
+                y = _conj(x, s, table)
                 if y in seen:
                     continue
                 if y == nv:

@@ -269,7 +269,7 @@ def random_word(rng, n, length):
 
 
 def summit_bounds(w):
-    x = garside._summit_representative(normal_form(w))
+    x = garside._summit_representative(normal_form(w), garside._Table())
     return x.inf, x.sup
 
 
@@ -362,7 +362,7 @@ def test_lcm_is_the_least_common_multiple():
 def test_summit_representative_matches_the_oracle(w):
     # the conjugations spell no half twists but reach the same elements
     nf = normal_form(w)
-    rep = garside._summit_representative(nf)
+    rep = garside._summit_representative(nf, garside._Table())
     assert rep == oracle._summit_representative(nf)
 
 
@@ -371,6 +371,7 @@ def test_conjugation_primitive_matches_the_oracle():
     # five, _cycle and _decycle, each on elements whose infimum is
     # negative, zero, odd and even, against conjugation by spelled words
     rng = random.Random("conjugation-primitive")
+    table = garside._Table()
     for n in (2, 3, 4, 5):
         simples = list(itertools.permutations(range(1, n + 1)))
         if n == 5:
@@ -381,13 +382,13 @@ def test_conjugation_primitive_matches_the_oracle():
                 x = garside.NormalForm(n, p, factors)
                 for s in simples:
                     a = BraidWord(n, factor_word(s))
-                    assert garside._conj(x, s) == oracle._conj(x, a), (x, s)
+                    assert garside._conj(x, s, table) == oracle._conj(x, a), (x, s)
                 if not factors:
                     continue
                 head = normal_form_word(garside.NormalForm(n, p, factors[:1]))
-                assert garside._cycle(x) == oracle._conj(x, head), x
+                assert garside._cycle(x, table) == oracle._conj(x, head), x
                 last = inverse(BraidWord(n, factor_word(factors[-1])))
-                assert garside._decycle(x) == oracle._conj(x, last), x
+                assert garside._decycle(x, table) == oracle._conj(x, last), x
 
 
 @st.composite
@@ -412,7 +413,7 @@ def test_product_matches_the_oracle_on_spelled_simples(case):
     power = (twist if q >= 0 else inverse(twist)).letters * abs(q)
     spelled = [g for s in simples for g in factor_word(s)]
     expected = oracle.normal_form(BraidWord(n, (*power, *spelled)))
-    assert garside._product(n, q, iter(simples)) == expected
+    assert garside._product(n, q, iter(simples), garside._Table()) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,7 +422,27 @@ def test_product_matches_the_bubbling_pass(case):
     # too long for the quadratic oracle; on one strand the identity is D
     n, q, simples = case
     expected = oracle.bubbling_product(n, q, iter(simples))
-    assert garside._product(n, q, iter(simples)) == expected
+    assert garside._product(n, q, iter(simples), garside._Table()) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(products(st.integers(1, 6), 20), min_size=1, max_size=8))
+def test_product_is_the_same_through_a_shared_table(cases):
+    # one table across products of mixed strand counts, as a conjugacy
+    # test shares it, against a fresh table per product and the oracle
+    shared = garside._Table()
+    for n, q, simples in cases:
+        expected = oracle.bubbling_product(n, q, iter(simples))
+        assert garside._product(n, q, iter(simples), garside._Table()) == expected
+        assert garside._product(n, q, iter(simples), shared) == expected
+
+
+def test_memo_tables_die_with_their_call():
+    # a module-level memo would outlive every call and keep its n-tuples
+    memos = [name for name, v in vars(garside).items() if hasattr(v, "cache_info")]
+    assert memos == []
+    caches = vars(garside._Table()).values()
+    assert [c.cache_info().maxsize for c in caches] == [1024] * 3
 
 
 def test_long_words_match_the_bubbling_pass():
@@ -433,7 +454,8 @@ def test_long_words_match_the_bubbling_pass():
         q = -sum(g < 0 for g in w.letters)
         simples = list(oracle.letter_simples(w))
         expected = oracle.bubbling_product(n, q, iter(simples))
-        assert garside._product(n, q, iter(simples)) == expected, n
+        table = garside._Table()
+        assert garside._product(n, q, iter(simples), table) == expected, n
         assert normal_form(w) == expected, n
 
 
@@ -442,7 +464,7 @@ def test_conjugacy_spells_no_letters(monkeypatch):
     # never turn them into letters
     rng = random.Random("spells-no-letters")
     elements = [normal_form(random_word(rng, n, 10)) for n in (3, 4, 5) * 2]
-    summits = [garside._summit_representative(x) for x in elements]
+    summits = [garside._summit_representative(x, garside._Table()) for x in elements]
 
     def spelled(p):
         raise AssertionError(f"factor_word{p} on the conjugacy path")
@@ -451,7 +473,9 @@ def test_conjugacy_spells_no_letters(monkeypatch):
     a = BraidWord(3, (1, 1, 1, -2, -2, 1, 1, 1, 1, -2))
     b = BraidWord(3, (1, 1, 1, -2, 1, 1, 1, 1, -2, -2))
     assert conjugacy_test(a, b) == ConjugacyReport(Verdict.NOT_CONJUGATE, 20)
-    assert [garside._summit_representative(x) for x in elements] == summits
+    assert [
+        garside._summit_representative(x, garside._Table()) for x in elements
+    ] == summits
 
 
 @settings(max_examples=150, deadline=None)
@@ -485,7 +509,7 @@ def test_minimal_simples_match_brute_force():
                 assert len(least) == 1
                 if least[0] not in expected:
                     expected.append(least[0])
-            assert garside._minimal_simples(x) == expected, w
+            assert garside._minimal_simples(x, garside._Table()) == expected, w
 
 
 def test_five_strand_summit_set_walk_is_fast():
