@@ -8,7 +8,9 @@ the full half twist.  Permutation braids are stored as their endpoint
 permutations and all factor arithmetic happens on permutations, so any
 strand count works.  Each public call keeps one table of bounded memos
 of the descents, left-weightings and lcms its products share; the table
-dies with the call.
+dies with the call.  A left-weighting step re-tests only the bits next
+to each generator it moves and takes its results from the table's
+descent memo, so the two memos share their tuples.
 
 The normal form takes one pass over the freely reduced word.  A
 negative letter is ``D^-1 (D sigma_g^-1)``; moving every ``D^-1`` to
@@ -20,7 +22,9 @@ at the first pair already left weighted (Epstein et al., *Word
 Processing in Groups*, 1992, ch. 9; Elrifai and Morton, Quart. J.
 Math. 45, 1994) or at a ``D``.  That ``D`` goes to a count at the right
 end, as ``D Y = tau(Y) D``, and the pass ends: carried to the front,
-the ``D`` would leave the pairs behind it left weighted.
+the ``D`` would leave the pairs behind it left weighted.  ``tau`` moves
+a descent at ``i`` to ``n - i``, so each factor behind that ``D`` keeps
+its descent masks, mirrored.
 Equality first compares the images in ``Z`` (exponent sum) and ``S_n``
 (permutation): only words with equal images are normalized.
 
@@ -144,10 +148,12 @@ class NormalForm:
 
 
 class _Table:
-    # one per public call: bounded memos of the primitives its products share
+    # one per public call: bounded memos of the primitives its products
+    # share; a weigh result is the entry memo's own tuples
     def __init__(self):
         self.entry = functools.lru_cache(1024)(_entry)
-        self.weigh = functools.lru_cache(1024)(_weigh)
+        weigh = functools.partial(_weigh, entry=self.entry)
+        self.weigh = functools.lru_cache(1024)(weigh)
         self.lcm = functools.lru_cache(1024)(_lcm)
 
 
@@ -163,13 +169,17 @@ def normal_form(w: BraidWord, table: _Table | None = None) -> NormalForm:
     n = w.index
     w0 = _half_twist(n)
     negatives = sum(g < 0 for g in w.letters)
+    made: dict[tuple[int, int], Perm] = {}  # (letter, parity): its simple
 
     def simples():
         after = negatives
         for g in w.letters:
             after -= g < 0
-            f = _tau(n - abs(g) if after % 2 else abs(g), n)
-            yield _mul(w0, f) if g < 0 else f
+            key = g, after % 2
+            if key not in made:
+                f = _tau(n - abs(g) if after % 2 else abs(g), n)
+                made[key] = _mul(w0, f) if g < 0 else f
+            yield made[key]
 
     return _product(n, -negatives, simples(), table or _Table())
 
@@ -181,7 +191,7 @@ def _product(n: int, q: int, simples, table: _Table) -> NormalForm:
     factors: list[Entry] = []
     r = 0
     for f in simples:
-        entry = table.entry(_flip(f, r))
+        entry = table.entry(_flip(f) if r % 2 else f)
         if not entry[2]:
             continue  # the identity, as D sigma_1^-1 on two strands
         if entry[2] == twist:  # D; on one strand, the identity above
@@ -193,38 +203,53 @@ def _product(n: int, q: int, simples, table: _Table) -> NormalForm:
             left, factors[j] = table.weigh(factors[j - 1], factors[j])
             if left[2] == twist:  # F1 ... D Y = F1 ... tau(Y) D
                 # not through the table: from n = 8 on, these re-flips fill it
-                factors[j - 1 :] = [_entry(_flip(g, 1)) for g, _, _ in factors[j:]]
+                factors[j - 1 :] = [_flip_entry(e) for e in factors[j:]]
                 r += 1
                 break
             factors[j - 1] = left
             j -= 1
         while factors and not factors[-1][2]:
             factors.pop()
-    return NormalForm(n, q + r, tuple(_flip(f, r) for f, _, _ in factors))
+    perms = [f for f, _, _ in factors]
+    return NormalForm(n, q + r, tuple(map(_flip, perms) if r % 2 else perms))
 
 
 def _entry(f: Perm) -> Entry:
     return f, _descents(_inv(f)), _descents(f)
 
 
-def _weigh(left: Entry, right: Entry) -> tuple[Entry, Entry]:
+def _flip_entry(entry: Entry) -> Entry:
+    # tau moves a descent at i to n - i, so both masks mirror; the bit
+    # above them keeps bin() from dropping their high zeros
+    f, start, fin = entry
+    top = 1 << len(f) + 1
+    start, fin = int(bin(start | top)[:2:-1], 2), int(bin(fin | top)[:2:-1], 2)
+    return _flip(f), start, fin
+
+
+def _weigh(left: Entry, right: Entry, entry) -> tuple[Entry, Entry]:
     # move generators from the front of right to the back of left until
-    # the pair is left weighted; a move swaps two entries, updates 3 bits
+    # the pair is left weighted.  A move at i swaps two places of x and
+    # of right's inverse: left gains descent i, right loses it, and only
+    # i - 1 and i + 1 need a look.  entry gives the result's masks
     x, _, fin = left
     y, start, _ = right
+    n = len(x)
     x, yi = list(x), list(_inv(y))
     pending = start & ~fin
     while pending:
-        i = (pending & -pending).bit_length() - 1
+        bit = pending & -pending
+        i = bit.bit_length() - 1
         x[i - 1], x[i] = x[i], x[i - 1]
         yi[i - 1], yi[i] = yi[i], yi[i - 1]
-        for k in range(max(i - 1, 1), min(i + 2, len(x))):
-            bit = 1 << k
-            fin = fin | bit if x[k - 1] > x[k] else fin & ~bit
-            start = start | bit if yi[k - 1] > yi[k] else start & ~bit
+        fin, start = fin | bit, start & ~bit
+        for k in (i - 1, i + 1):
+            if 0 < k < n:
+                b = 1 << k
+                fin = fin | b if x[k - 1] > x[k] else fin & ~b
+                start = start | b if yi[k - 1] > yi[k] else start & ~b
         pending = start & ~fin
-    x, y = tuple(x), _inv(yi)
-    return (x, _descents(_inv(x)), fin), (y, start, _descents(y))
+    return entry(tuple(x)), entry(_inv(yi))
 
 
 def normal_form_word(nf: NormalForm) -> BraidWord:
@@ -272,27 +297,29 @@ class ConjugacyReport:
     nodes: int
 
 
-def _flip(p: Perm, k: int) -> Perm:
-    # tau^k, conjugation by D^k: strand i becomes strand n + 1 - i
+def _flip(p: Perm) -> Perm:
+    # tau, conjugation by D: strand i becomes strand n + 1 - i; tau^2 = 1,
+    # so callers flip only at an odd power
     n = len(p)
-    return tuple(n + 1 - p[n - 1 - i] for i in range(n)) if k % 2 else p
+    return tuple(n + 1 - p[n - 1 - i] for i in range(n))
 
 
 def _conj(x: NormalForm, s: Perm, table: _Table) -> NormalForm:
     # s^-1 D^p A s = D^(p-1) tau^(p+1)(s^-1 D) A s, all of it positive
-    top = _flip(_mul(_inv(s), _half_twist(x.index)), x.power + 1)
+    top = _mul(_inv(s), _half_twist(x.index))
+    top = top if x.power % 2 else _flip(top)
     return _product(x.index, x.power - 1, (top, *x.factors, s), table)
 
 
 def _cycle(x: NormalForm, table: _Table) -> NormalForm:
     # conjugation by D^p F1
-    rest = [_flip(f, x.power) for f in x.factors[1:]]
+    rest = tuple(map(_flip, x.factors[1:])) if x.power % 2 else x.factors[1:]
     return _product(x.index, x.power, (*rest, x.factors[0]), table)
 
 
 def _decycle(x: NormalForm, table: _Table) -> NormalForm:
     # conjugation by the inverse of the last factor
-    last = _flip(x.factors[-1], x.power)
+    last = _flip(x.factors[-1]) if x.power % 2 else x.factors[-1]
     return _product(x.index, x.power, (last, *x.factors[:-1]), table)
 
 
@@ -346,16 +373,18 @@ def _inverse(x: NormalForm) -> NormalForm:
     # left normal form as it stands
     n, p = x.index, x.power
     w0 = _half_twist(n)
-    ys = [_flip(_mul(_inv(f), w0), p + i) for i, f in enumerate(x.factors, 1)]
+    ys = [_mul(_inv(f), w0) for f in x.factors]
+    ys = [_flip(y) if i % 2 else y for i, y in enumerate(ys, p + 1)]
     return NormalForm(n, -p - len(ys), tuple(reversed(ys)))
 
 
-def _phi(s: Perm, y: NormalForm, table: _Table) -> Perm:
+def _phi(s: Perm, power: int, factors, table: _Table) -> Perm:
     # s v c with c the least simple such that tau^q(s) left-divides
-    # y1 ... yr c, for y = D^q y1 ... yr; c_k = y_k^-1 (c_(k-1) v y_k)
-    c = _flip(s, y.power)
-    for f in y.factors:
-        c = _mul(_inv(f), table.lcm(c, f))
+    # y1 ... yr c, for y = D^q y1 ... yr given as q and the pairs
+    # (y_k, y_k^-1); c_k = y_k^-1 (c_(k-1) v y_k)
+    c = _flip(s) if power % 2 else s
+    for f, fi in factors:
+        c = _mul(fi, table.lcm(c, f))
     return table.lcm(s, c)
 
 
@@ -363,12 +392,15 @@ def _minimal_simples(x: NormalForm, table: _Table) -> list[Perm]:
     # for each generator sigma_i, the least simple s above it with x^s
     # in the super summit set of x, which holds x.  phi_x(s) = s exactly
     # when conjugating by s keeps the infimum, and phi is monotone with
-    # D a fixpoint, so iterating from sigma_i stops at the least one
+    # D a fixpoint, so iterating from sigma_i stops at the least one.
+    # Each factor of x and x^-1 is inverted once, not on every step
     n, xi = x.index, _inverse(x)
+    xs = [(f, _inv(f)) for f in x.factors]
+    xis = [(f, _inv(f)) for f in xi.factors]
     out: list[Perm] = []
     for i in range(1, n):
         s = _tau(i, n)
-        while (t := _phi(_phi(s, x, table), xi, table)) != s:
+        while (t := _phi(_phi(s, x.power, xs, table), xi.power, xis, table)) != s:
             s = t
         if s not in out:
             out.append(s)

@@ -14,6 +14,9 @@ pass is carried pair by pair to the front of the list, and every
 ``D`` is counted there at the end.  Quadratic in the word length on
 random words, but it needs no flip of the factors behind a ``D``.
 :func:`letter_simples` spells a word as the simples that pass took.
+:func:`weigh` is the original left-weighting step, the oracle for
+``braidcalc.garside._weigh``: it re-tests all three bits around each
+swap and recomputes both result masks from the permutations.
 
 :func:`conjugacy_test` is the original super-summit-set walk, the oracle
 for :func:`braidcalc.garside.conjugacy_test`.  It conjugates every node
@@ -42,7 +45,6 @@ from braidcalc.garside import (
     _inv,
     _mul,
     _tau,
-    _weigh,
     factor_word,
     normal_form_word,
 )
@@ -137,12 +139,33 @@ def letter_simples(w: BraidWord):
         yield _mul(w0, f) if g < 0 else f
 
 
+def weigh(left: Entry, right: Entry) -> tuple[Entry, Entry]:
+    """Move generators from the front of ``right`` to the back of
+    ``left`` until the pair is left weighted; a move swaps two entries
+    and updates 3 bits."""
+    x, _, fin = left
+    y, start, _ = right
+    x, yi = list(x), list(_inv(y))
+    pending = start & ~fin
+    while pending:
+        i = (pending & -pending).bit_length() - 1
+        x[i - 1], x[i] = x[i], x[i - 1]
+        yi[i - 1], yi[i] = yi[i], yi[i - 1]
+        for k in range(max(i - 1, 1), min(i + 2, len(x))):
+            bit = 1 << k
+            fin = fin | bit if x[k - 1] > x[k] else fin & ~bit
+            start = start | bit if yi[k - 1] > yi[k] else start & ~bit
+        pending = start & ~fin
+    x, y = tuple(x), _inv(yi)
+    return (x, _descents(_inv(x)), fin), (y, start, _descents(y))
+
+
 def bubbling_product(n: int, q: int, simples) -> NormalForm:
     """D^q times the normal form of a product of simples: a pass back
     from each new one stops at the first pair already left weighted."""
     w0 = _half_twist(n)
     factors: list[Entry] = []
-    weigh = functools.lru_cache(1024)(_weigh)  # pairs recur in one product
+    cached = functools.lru_cache(1024)(weigh)  # pairs recur in one product
     for f in simples:
         fin = _descents(f)
         if not fin:
@@ -150,7 +173,7 @@ def bubbling_product(n: int, q: int, simples) -> NormalForm:
         factors.append((f, _descents(_inv(f)), fin))
         j = len(factors) - 1
         while j and factors[j][1] & ~factors[j - 1][2]:
-            factors[j - 1], factors[j] = weigh(factors[j - 1], factors[j])
+            factors[j - 1], factors[j] = cached(factors[j - 1], factors[j])
             j -= 1
         while factors and not factors[-1][2]:
             factors.pop()

@@ -445,6 +445,42 @@ def test_memo_tables_die_with_their_call():
     assert [c.cache_info().maxsize for c in caches] == [1024] * 3
 
 
+def _weighs_like_the_oracle(a, b):
+    # a fresh table per pair, so that no earlier step answers from memo
+    table = garside._Table()
+    left, right = garside._entry(a), garside._entry(b)
+    got = table.weigh(left, right)
+    assert got == oracle.weigh(left, right), (a, b)
+    assert all(table.entry(e[0]) is e for e in got), (a, b)
+
+
+def test_weigh_matches_the_oracle_on_every_pair():
+    for n in range(1, 5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for a, b in itertools.product(perms, repeat=2):
+            _weighs_like_the_oracle(a, b)
+
+
+@st.composite
+def perm_pairs(draw):
+    n = draw(st.integers(5, 8))
+    perms = st.permutations(range(1, n + 1)).map(tuple)
+    return draw(perms), draw(perms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perm_pairs())
+def test_weigh_matches_the_oracle_on_drawn_pairs(pair):
+    _weighs_like_the_oracle(*pair)
+
+
+def test_flip_entry_mirrors_the_masks():
+    for n in range(1, 7):
+        for f in itertools.permutations(range(1, n + 1)):
+            flipped = garside._entry(garside._flip(f))
+            assert garside._flip_entry(garside._entry(f)) == flipped, f
+
+
 def test_long_words_match_the_bubbling_pass():
     # the same simples through both passes, and the freely reduced word
     # through normal_form, at a length where the old pass reaches far
