@@ -37,7 +37,7 @@ from .moves import (
     find_destabilizations,
     find_exchanges,
 )
-from .words import BraidWord, cyclic_reduce, free_reduce
+from .words import BraidWord, cyclic_key, cyclic_reduce, free_reduce
 
 __all__ = [
     "SearchConfig",
@@ -91,20 +91,10 @@ def proxy_complexity(w: BraidWord) -> tuple[int, int]:
 def canonical_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     """A state key shared by rotations of the freely reduced cyclic word.
 
-    The key is the lexicographically least rotation of the letters.
+    The key is :func:`~braidcalc.words.cyclic_key`; this function stays
+    separate so that the search's own key calls can be told apart.
     """
-    letters = cyclic_reduce(w).letters
-    if not letters:
-        return (w.index, ())
-    # fixed-width biased big-endian bytes order like the letters and keep
-    # the rotation scan in C at any strand count
-    width = max(map(abs, letters)).bit_length() // 8 + 1
-    bias = 1 << (8 * width - 1)
-    enc = b"".join((g + bias).to_bytes(width, "big") for g in letters)
-    k = min(
-        range(len(letters)), key=lambda k: enc[k * width :] + enc[: k * width]
-    )
-    return (w.index, letters[k:] + letters[:k])
+    return cyclic_key(w)
 
 
 def _normalize(word: BraidWord) -> tuple[BraidWord, tuple[Move, ...]]:

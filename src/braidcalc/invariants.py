@@ -19,11 +19,14 @@ true L1 norms, and since a coefficient is at most the polynomial's
 maximum on the unit circle, Hadamard's bound there (the product of the
 column norms) bounds the determinant and fixes the K it is computed at.
 The division by ``1 + ... + t^(n-1)`` stays an exact Laurent division.
-Both entries are unchanged by conjugation, by both stabilizations and
-by exchange moves, so a fingerprint mismatch certifies that two
-closures are different links.  The self linking number, exponent sum
-minus strand count, is deliberately kept out of the fingerprint: it
-drops by two under negative stabilization and is reported separately.
+``alexander`` works on the cyclically reduced word: conjugation and free
+reduction leave the closed braid as it is, and the letters they drop
+would only lengthen the products.  Both entries are unchanged by
+conjugation, by both stabilizations and by exchange moves, so a
+fingerprint mismatch certifies that two closures are different links.
+The self linking number, exponent sum minus strand count, is
+deliberately kept out of the fingerprint: it drops by two under
+negative stabilization and is reported separately.
 """
 
 from __future__ import annotations
@@ -32,7 +35,13 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from math import isqrt
 
-from .words import BraidWord, closure_components, exponent_sum
+from .words import (
+    BraidWord,
+    closure_components,
+    cyclic_key,
+    cyclic_reduce,
+    exponent_sum,
+)
 
 __all__ = [
     "LaurentPoly",
@@ -304,7 +313,9 @@ def alexander(w: BraidWord) -> LaurentPoly:
 
     if w.index == 1:
         return LaurentPoly.one()
-    cols, exps, k = _packed_burau_minus_identity(w)
+    # conjugation and free reduction keep the closure, so the shorter
+    # cyclically reduced word gives the same polynomial
+    cols, exps, k = _packed_burau_minus_identity(cyclic_reduce(w))
     # each coefficient of the determinant is at most its maximum on
     # the unit circle, which Hadamard bounds by the product of the
     # column norms, and an entry's modulus there is at most its L1 norm;
@@ -342,6 +353,16 @@ class Fingerprint:
 def fingerprint(w: BraidWord) -> Fingerprint:
     """The move invariant fingerprint of the word's closure."""
     return Fingerprint(closure_components(w), alexander(w))
+
+
+def _closed_fingerprint(prints: dict, w: BraidWord) -> Fingerprint:
+    # fingerprint(w) through the caller's memo, which lives for one call;
+    # words with one cyclic_key close to the same closed braid
+    key = cyclic_key(w)
+    fp = prints.get(key)
+    if fp is None:
+        fp = prints[key] = fingerprint(w)
+    return fp
 
 
 def self_linking(w: BraidWord) -> int:

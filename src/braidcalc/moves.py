@@ -23,7 +23,9 @@ check, so the applier and the JSON codecs hold no per-kind code.
 
 A :class:`Tower` stores the starting word and one ``(move, result)``
 pair per step.  ``replay`` re-applies each move, confirms the recorded
-words, and reports the closure fingerprint at every stage.
+words, and reports the closure fingerprint at every stage; stages that
+are one closed braid up to rotation and cancellation share one
+fingerprint computation within the call.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from .invariants import Fingerprint, fingerprint
+from .invariants import Fingerprint, _closed_fingerprint
 from .words import (
     BraidWord,
     _int_field,
@@ -310,9 +312,14 @@ class ReplayReport:
 
 
 def replay(tower: Tower) -> ReplayReport:
-    """Re-apply every move, check the record, fingerprint every stage."""
+    """Re-apply every move, check the record, fingerprint every stage.
+
+    Stages that are rotations of one cyclically reduced word share a
+    fingerprint, computed once per call.
+    """
+    memo: dict = {}
     current = tower.initial
-    prints = [fingerprint(current)]
+    prints = [_closed_fingerprint(memo, current)]
     for number, step in enumerate(tower.steps, start=1):
         try:
             computed = apply_move(current, step.move)
@@ -324,7 +331,7 @@ def replay(tower: Tower) -> ReplayReport:
         ):
             return _report(False, number, prints)
         current = computed
-        prints.append(fingerprint(current))
+        prints.append(_closed_fingerprint(memo, current))
     return _report(True, None, prints)
 
 

@@ -14,7 +14,12 @@ A template pairs two diagrams over the same block names.  A template
 is the assertion that for every assignment the two expansions close to
 the same link; ``verify_template`` samples assignments and compares
 closure fingerprints, which can refute an encoding but never certify
-it.  The catalog, built by the ``make_*`` constructors below, covers
+it.  Within one call it fingerprints each closed braid once: expansions
+that are rotations of one cyclically reduced word share a fingerprint,
+held in a memo that dies with the call.  A diagram keeps the walk it
+makes when it is built, so expansion and sampling read it instead of
+walking again.  The catalog, built once per process by the ``make_*``
+constructors below, covers
 destabilization, the exchange move in weight one and weighted form,
 the three strand flype, microflypes, a four block necklace that
 cyclically permutes its blocks, and two six strand examples whose two
@@ -35,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .invariants import fingerprint
+from .invariants import _closed_fingerprint
 from .moves import Conjugate, Destabilize, Stabilize, Tower, extend
 from .words import BraidWord, _int_field, inverse
 
@@ -153,6 +158,10 @@ class BlockStrandDiagram:
     weights, a block preserves the weights it spans.  Diagrams flagged
     ``post_destabilization`` are exempt from the requirement that each
     block's span stay strictly below the braid index.
+
+    Construction walks the diagram once and keeps the walk: per entry,
+    the entering weights of its slots, its first strand and, for a
+    band, its crossing letters.
     """
 
     index: int
@@ -171,12 +180,15 @@ class BlockStrandDiagram:
             )
         slots = len(weights)
         spans: dict[str, int] = {}
-        for entry, covered, _ in _walk(list(weights), entries):
+        walked = []
+        for entry, covered, base in _walk(list(weights), entries):
+            crossing = None
             if isinstance(entry, Band):
                 if entry.sign not in (1, -1):
                     raise ValueError(f"band sign must be +1 or -1: {entry}")
                 if not 1 <= entry.pos <= slots - 1:
                     raise ValueError(f"band slot out of range: {entry}")
+                crossing = tuple(_crossing(*covered, base, entry.sign))
             elif not isinstance(entry, BlockRef):
                 raise TypeError(f"not a diagram entry: {entry!r}")
             else:
@@ -199,12 +211,15 @@ class BlockStrandDiagram:
                     raise ValueError(
                         f"block {entry.id!r} appears with two spans"
                     )
+            walked.append((entry, tuple(covered), base, crossing))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(
             self, "post_destabilization", bool(post_destabilization)
         )
+        # not a field: equality, hashing, repr and JSON ignore it
+        object.__setattr__(self, "_walked", tuple(walked))
 
     @property
     def blocks(self) -> dict[str, int]:
@@ -272,9 +287,9 @@ def _expansion(d: BlockStrandDiagram, asg: Assignment):
     missing = sorted(set(d.blocks) - set(asg))
     if missing:
         raise CoverageError(f"assignment misses blocks: {missing}")
-    for entry, covered, base in _walk(list(d.weights), d.entries):
+    for entry, covered, base, crossing in d._walked:
         if isinstance(entry, Band):
-            yield entry, _crossing(*covered, base, entry.sign)
+            yield entry, crossing
             continue
         word = asg[entry.id]
         if word.index != entry.span:
@@ -286,9 +301,9 @@ def _expansion(d: BlockStrandDiagram, asg: Assignment):
         letters: list[int] = []
         for g, (a, b), p in _walk(cables, word.letters, base):
             letters += _crossing(a, b, p, 1 if g > 0 else -1)
-        if cables != covered:
+        if tuple(cables) != covered:
             raise WeightFlowError(
-                f"block {entry.id!r}: cables enter as {covered} but"
+                f"block {entry.id!r}: cables enter as {list(covered)} but"
                 f" leave as {cables}"
             )
         yield entry, letters
@@ -321,9 +336,9 @@ def sample_assignment(
     # cannot reorder cables that all weigh the same
     entering: dict[str, set[tuple[int, ...]]] = {}
     for diagram in (t.plus, t.minus):
-        for entry, covered, _ in _walk(list(diagram.weights), diagram.entries):
+        for entry, covered, _, _ in diagram._walked:
             if isinstance(entry, BlockRef) and len(set(covered)) > 1:
-                entering.setdefault(entry.id, set()).add(tuple(covered))
+                entering.setdefault(entry.id, set()).add(covered)
     asg: Assignment = {}
     for name, span in sorted(t.blocks.items()):
         choices = [g for g in range(-(span - 1), span) if g != 0]
@@ -382,16 +397,18 @@ def verify_template(t: Template, samples: list[Assignment]) -> VerifyReport:
     """Expand both sides per sample and compare closure fingerprints.
 
     Expansion errors do not abort the run; they fail their sample with
-    the error text in the report.
+    the error text in the report.  Expansions that are rotations of one
+    cyclically reduced word share a fingerprint, computed once per call.
     """
 
     if not samples:
         raise ValueError("need at least one sample assignment")
+    memo: dict = {}
     rows: list[VerifySample] = []
     for number, asg in enumerate(samples, start=1):
         try:
-            plus = fingerprint(expand(t.plus, asg))
-            minus = fingerprint(expand(t.minus, asg))
+            plus = _closed_fingerprint(memo, expand(t.plus, asg))
+            minus = _closed_fingerprint(memo, expand(t.minus, asg))
         except (CoverageError, IndexMismatch, WeightFlowError) as err:
             rows.append(VerifySample(number, False, str(err)))
             continue
@@ -414,7 +431,7 @@ def sigma_budget(d: BlockStrandDiagram) -> int:
     count of letters ``n - 1`` in any expansion of the diagram.
     """
 
-    for entry, covered, base in _walk(list(d.weights), d.entries):
+    for entry, covered, base, _ in d._walked:
         if isinstance(entry, BlockRef) and base + sum(covered) - 1 >= d.index:
             raise BlockOnLastStrand(
                 f"block {entry.id!r} spans strands"
@@ -608,6 +625,10 @@ def builtin_templates() -> list[Template]:
     ]
 
 
+# the built-in catalog, sorted by name: built once, since it is constant
+_BUILTIN = tuple(sorted(builtin_templates(), key=lambda t: t.name))
+
+
 def _entry_to_json(entry: DiagramEntry) -> dict:
     if isinstance(entry, Band):
         return {"kind": "band", "pos": entry.pos, "sign": entry.sign}
@@ -701,16 +722,20 @@ def catalog(directory=None) -> list[Template]:
 
     ``directory`` overrides the source with the ``*.json`` template
     files in it, sorted by file name; otherwise the environment variable
-    ``BRAID_TEMPLATE_DIR`` does; otherwise the catalog is
-    :func:`builtin_templates`, sorted by name.
+    ``BRAID_TEMPLATE_DIR`` does, read on every call; otherwise the
+    catalog is :func:`builtin_templates`, sorted by name, built once per
+    process.  An empty value counts as unset, and a directory that does
+    not exist raises :class:`NotADirectoryError`.  Each call returns a
+    new list.
     """
 
-    if directory is None:
+    if not directory:
         directory = os.environ.get(TEMPLATE_DIR_ENV)
-    if directory is None:
-        return sorted(builtin_templates(), key=lambda t: t.name)
-    paths = sorted(Path(directory).glob("*.json"))
-    return [load_template(p) for p in paths]
+    if not directory:
+        return list(_BUILTIN)
+    if not Path(directory).is_dir():
+        raise NotADirectoryError(f"no template directory {str(directory)!r}")
+    return [load_template(p) for p in sorted(Path(directory).glob("*.json"))]
 
 
 def _segment_tower(

@@ -29,6 +29,7 @@ __all__ = [
     "exponent_sum",
     "closure_components",
     "cyclic_reduce",
+    "cyclic_key",
 ]
 
 # \s is exactly what str.isspace() accepts, the set str.strip() removes
@@ -251,3 +252,24 @@ def cyclic_reduce(w: BraidWord) -> BraidWord:
         i += 1
         j -= 1
     return BraidWord(w.index, letters[i : j + 1])
+
+
+def cyclic_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
+    """A key shared by rotations of the freely reduced cyclic word.
+
+    The key is the strand count and the lexicographically least
+    rotation of the cyclically reduced letters.  Words with one key are
+    conjugate, so their closures are the same closed braid.
+    """
+    letters = cyclic_reduce(w).letters
+    if not letters:
+        return (w.index, ())
+    # fixed-width biased big-endian bytes order like the letters and keep
+    # the rotation scan in C at any strand count
+    width = max(map(abs, letters)).bit_length() // 8 + 1
+    bias = 1 << (8 * width - 1)
+    enc = b"".join((g + bias).to_bytes(width, "big") for g in letters)
+    k = min(
+        range(len(letters)), key=lambda k: enc[k * width :] + enc[: k * width]
+    )
+    return (w.index, letters[k:] + letters[:k])

@@ -1,14 +1,20 @@
-"""The literal three strand flype as it was before ``moves.Flype3``
-checked its own site.
+"""Move code as it was before later rewrites, kept as references.
 
-Kept unchanged as a reference for differential tests of
-:func:`braidcalc.moves.apply_move` on :class:`braidcalc.moves.Flype3`:
-the word is split into maximal runs of one signed letter, and the four
-runs ``s1^p s2^u s1^q s2^eps`` are read off them.
+The literal three strand flype as it was before ``moves.Flype3``
+checked its own site: the word is split into maximal runs of one signed
+letter, and the four runs ``s1^p s2^u s1^q s2^eps`` are read off them.
+It is the oracle for :func:`braidcalc.moves.apply_move` on
+:class:`braidcalc.moves.Flype3`.
+
+``replay`` is the tower replay as it was before its per-call
+fingerprint memo: it fingerprints every stage from scratch.  It is the
+oracle for :func:`braidcalc.moves.replay`.
 """
 
 from __future__ import annotations
 
+from braidcalc.invariants import fingerprint
+from braidcalc.moves import ReplayReport, Tower, apply_move
 from braidcalc.words import BraidWord
 
 
@@ -61,3 +67,27 @@ def apply_flype3(w: BraidWord) -> BraidWord:
         return [step] * abs(count)
 
     return BraidWord(3, run(1, p) + [eps * 2] + run(1, q) + run(2, u))
+
+
+def replay(tower: Tower) -> ReplayReport:
+    """Re-apply every move, check the record, fingerprint every stage."""
+    current = tower.initial
+    prints = [fingerprint(current)]
+    for number, step in enumerate(tower.steps, start=1):
+        try:
+            computed = apply_move(current, step.move)
+        except ValueError:
+            return _report(False, number, prints)
+        if (
+            computed.index != step.result.index
+            or computed.letters != step.result.letters
+        ):
+            return _report(False, number, prints)
+        current = computed
+        prints.append(fingerprint(current))
+    return _report(True, None, prints)
+
+
+def _report(ok, failed_step, prints) -> ReplayReport:
+    constant = all(fp == prints[0] for fp in prints)
+    return ReplayReport(ok, failed_step, tuple(prints), constant)

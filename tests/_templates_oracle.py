@@ -1,18 +1,25 @@
-"""Template expansion as it was before a block's word crossed its
-cables through the same walker as the diagram's bands.
+"""Template code as it was before later rewrites, kept as references.
 
-Kept unchanged as a reference for differential tests of
-:mod:`braidcalc.templates`: ``expand`` swaps a block's cables in a loop
-of its own, ``_preserves_vector`` is a third such loop,
-``sigma_budget`` re-expands each band and ``_segment_tower`` expands a
-diagram per segment, which equals cutting the side's expansion only
-when every weight is 1.
+Template expansion as it was before a block's word crossed its cables
+through the same walker as the diagram's bands: ``expand`` swaps a
+block's cables in a loop of its own, ``_preserves_vector`` is a third
+such loop, ``sigma_budget`` re-expands each band and ``_segment_tower``
+expands a diagram per segment, which equals cutting the side's
+expansion only when every weight is 1.
+
+``verify_template`` is the sample loop as it was before its per-call
+fingerprint memo: it fingerprints every expansion from scratch.
+
+All are kept unchanged for differential tests of
+:mod:`braidcalc.templates`.
 """
 
 from __future__ import annotations
 
 import random
 
+from braidcalc import templates
+from braidcalc.invariants import fingerprint
 from braidcalc.moves import Conjugate, Destabilize, Stabilize, Tower, extend
 from braidcalc.templates import (
     Assignment,
@@ -23,6 +30,8 @@ from braidcalc.templates import (
     CoverageError,
     IndexMismatch,
     Template,
+    VerifyReport,
+    VerifySample,
     WeightFlowError,
     band_expand,
 )
@@ -192,3 +201,29 @@ def _segment_tower(
         lifted = BraidWord(n + 1, seg.letters)
         tower = extend(tower, Conjugate(inverse(lifted)))
     return extend(tower, Destabilize(sign))
+
+
+def verify_template(t: Template, samples: list[Assignment]) -> VerifyReport:
+    """Expand both sides per sample and compare closure fingerprints.
+
+    Expansion errors do not abort the run; they fail their sample with
+    the error text in the report.
+    """
+
+    if not samples:
+        raise ValueError("need at least one sample assignment")
+    rows: list[VerifySample] = []
+    for number, asg in enumerate(samples, start=1):
+        try:
+            plus = fingerprint(templates.expand(t.plus, asg))
+            minus = fingerprint(templates.expand(t.minus, asg))
+        except (CoverageError, IndexMismatch, WeightFlowError) as err:
+            rows.append(VerifySample(number, False, str(err)))
+            continue
+        if plus == minus:
+            rows.append(VerifySample(number, True))
+        else:
+            rows.append(
+                VerifySample(number, False, f"{plus} versus {minus}")
+            )
+    return VerifyReport(t.name, t.delta_b, tuple(rows))

@@ -281,6 +281,24 @@ def test_verify_template_dir_override(tmp_path, capsys, monkeypatch):
     assert "4/4 pass" in out
 
 
+def test_verify_template_empty_dir_is_unset(tmp_path, capsys, monkeypatch):
+    # an unrelated JSON file in the working directory is not a template
+    (tmp_path / "junk.json").write_text(json.dumps({"unrelated": 1}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BRAID_TEMPLATE_DIR", "")
+    code, out, err = run(capsys, "verify-template", "exchange_w1")
+    assert (code, err) == (0, "")
+    assert out.split("\n")[1] == "25/25 pass delta_b=0"
+
+
+def test_verify_template_missing_dir_is_named(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "no-such-catalog"
+    monkeypatch.setenv("BRAID_TEMPLATE_DIR", str(missing))
+    code, out, err = run(capsys, "verify-template", "exchange_w1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(missing) in err
+
+
 def test_certify_pinned(capsys, tmp_path):
     code, out, _ = run(
         capsys, "certify", "destabilize_pos", "--min-last-count", "2"

@@ -23,7 +23,16 @@ from braidcalc.invariants import (
     fingerprint,
     self_linking,
 )
-from braidcalc.words import BraidWord, concat, conjugate, parse_word, rotate
+from braidcalc.words import (
+    BraidWord,
+    closure_components,
+    concat,
+    conjugate,
+    cyclic_reduce,
+    inverse,
+    parse_word,
+    rotate,
+)
 
 
 def poly(d):
@@ -233,11 +242,31 @@ def test_fingerprint_conjugation_invariant(w):
     assert fingerprint(conjugate(w, g)) == fingerprint(w)
 
 
+@st.composite
+def closed_words(draw):
+    # a small word, sometimes wrapped in a conjugator and its inverse
+    # without reduction, so that free and seam cancellations occur
+    w = draw(small_words(max_index=5, max_size=10))
+    c = draw(words_on(w.index, 3))
+    return BraidWord(w.index, c.letters + w.letters + inverse(c).letters)
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_words())
+def test_fingerprint_is_the_oracle_of_every_conjugate_shape(w):
+    # the cyclic reduction and every rotation close to the same link
+    fp = fingerprint(w)
+    reduced = cyclic_reduce(w)
+    shapes = [w, reduced, *(rotate(w, k) for k in range(len(w)))]
+    shapes += [rotate(reduced, k) for k in range(len(reduced))]
+    for v in shapes:
+        want = Fingerprint(closure_components(v), oracle.alexander(v))
+        assert fp == want, v
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_words())
 def test_burau_respects_inverse(w):
-    from braidcalc.words import inverse
-
     assert burau(concat(w, inverse(w))) == burau(BraidWord(w.index, ()))
 
 

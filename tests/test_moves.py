@@ -420,6 +420,59 @@ def test_flype_site_matches_the_old_parser(case):
                 apply_move(w, candidate)
 
 
+MOVE_KINDS = ("conjugate", "cyclic", "stabilize", "destabilize", "exchange")
+
+
+@st.composite
+def towers(draw):
+    # a small word and up to 8 moves, each kept only if it applies;
+    # a recorded result may then be corrupted, or a move swapped
+    tower = Tower(draw(small_words()))
+    for _ in range(draw(st.integers(0, 8))):
+        w = tower.final
+        kind = draw(st.sampled_from(MOVE_KINDS))
+        if kind == "conjugate":
+            letters = st.integers(1, max(w.index - 1, 1)).flatmap(
+                lambda g: st.sampled_from((g, -g))
+            )
+            # one strand has no generators, so only the empty conjugator
+            size = 3 if w.index > 1 else 0
+            by = draw(st.lists(letters, max_size=size))
+            move = Conjugate(BraidWord(w.index, by))
+        elif kind == "cyclic":
+            move = CyclicShift(draw(st.integers(-5, 5)))
+        elif kind == "stabilize":
+            if w.index >= 6:
+                continue
+            move = Stabilize(draw(st.sampled_from((1, -1))))
+        else:
+            found = (
+                find_destabilizations(w)
+                if kind == "destabilize"
+                else find_exchanges(w)
+            )
+            if not found:
+                continue
+            move = found[0]
+        tower = extend(tower, move)
+    steps = list(tower.steps)
+    if steps and draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(steps) - 1))
+        step = steps[at]
+        if draw(st.booleans()):
+            wrong = BraidWord(step.result.index, step.result.letters[1:])
+            steps[at] = TowerStep(step.move, wrong)
+        else:
+            steps[at] = TowerStep(Stabilize(1), step.result)
+    return Tower(tower.initial, tuple(steps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(towers())
+def test_replay_matches_the_memo_free_oracle(tower):
+    assert replay(tower) == oracle.replay(tower)
+
+
 def test_tower_fixture_replays_unchanged(tmp_path):
     text = TOWER_FIXTURE.read_text(encoding="utf-8")
     tower = load_tower(TOWER_FIXTURE)

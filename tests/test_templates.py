@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _templates_oracle as oracle
+from braidcalc import invariants, moves, templates
 from braidcalc.garside import is_trivial, words_equal
-from braidcalc.invariants import fingerprint
-from braidcalc.moves import replay, tower_to_json
+from braidcalc.invariants import Fingerprint, LaurentPoly, fingerprint
+from braidcalc.moves import CyclicShift, Tower, extend, replay, tower_to_json
 from braidcalc.templates import (
     Band,
     BlockOnLastStrand,
@@ -274,6 +275,41 @@ def test_catalog_directory_override(tmp_path, monkeypatch):
     assert [entry.name for entry in catalog(tmp_path)] == [t.name]
 
 
+def test_catalog_is_a_new_list_each_call(tmp_path, monkeypatch):
+    monkeypatch.delenv("BRAID_TEMPLATE_DIR", raising=False)
+    first = catalog()
+    first.clear()
+    second = catalog()
+    assert second is not catalog()
+    assert [t.name for t in second] == CATALOG_NAMES
+    assert second == sorted(builtin_templates(), key=lambda t: t.name)
+    # the environment is read on every call, after the catalog is built
+    dump_template(make_cyclic(3), tmp_path / "only.json")
+    monkeypatch.setenv("BRAID_TEMPLATE_DIR", str(tmp_path))
+    assert [t.name for t in catalog()] == ["cyclic3"]
+    monkeypatch.delenv("BRAID_TEMPLATE_DIR")
+    assert [t.name for t in catalog()] == CATALOG_NAMES
+
+
+def test_an_empty_template_dir_is_unset(tmp_path, monkeypatch):
+    # a file in the working directory that is no template
+    (tmp_path / "junk.json").write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BRAID_TEMPLATE_DIR", "")
+    assert [t.name for t in catalog()] == CATALOG_NAMES
+    assert [t.name for t in catalog("")] == CATALOG_NAMES
+
+
+def test_a_missing_template_dir_is_named(tmp_path, monkeypatch):
+    missing = tmp_path / "nowhere"
+    monkeypatch.setenv("BRAID_TEMPLATE_DIR", str(missing))
+    with pytest.raises(NotADirectoryError, match="nowhere"):
+        catalog()
+    (tmp_path / "file.json").write_text("{}")
+    with pytest.raises(NotADirectoryError, match="file.json"):
+        catalog(tmp_path / "file.json")
+
+
 def test_diagram_json_round_trip():
     d = BlockStrandDiagram(
         4,
@@ -441,3 +477,113 @@ def test_towers_match_the_oracle():
             mine = json.dumps(tower_to_json(tower(asg)))
             theirs = oracle._segment_tower(t.plus, asg, sign)
             assert mine == json.dumps(tower_to_json(theirs))
+
+
+def _fresh_walk(d):
+    # the walk the diagram stores, taken again with public band letters
+    return tuple(
+        (
+            entry,
+            tuple(covered),
+            base,
+            band_expand(*covered, base, entry.sign, d.index).letters
+            if isinstance(entry, Band)
+            else None,
+        )
+        for entry, covered, base in templates._walk(list(d.weights), d.entries)
+    )
+
+
+def test_stored_walk_matches_a_fresh_walk_on_the_catalog():
+    for t in catalog() + [make_exchange(2), make_flype(1, 2, 3, 2, 1)]:
+        for d in (t.plus, t.minus):
+            assert d._walked == _fresh_walk(d), t.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagrams())
+def test_stored_walk_matches_a_fresh_walk(d):
+    assert d._walked == _fresh_walk(d)
+
+
+def test_stored_walk_is_not_part_of_the_value():
+    d = make_gflype6().plus
+    twin = BlockStrandDiagram(
+        d.index, d.weights, d.entries, d.post_destabilization
+    )
+    object.__setattr__(twin, "_walked", ())
+    assert twin == d and hash(twin) == hash(d)
+    assert repr(twin) == repr(d) and "_walked" not in repr(d)
+    assert diagram_to_json(twin) == diagram_to_json(d)
+    assert "_walked" not in json.dumps(diagram_to_json(d))
+
+
+def _mixed():
+    # two sides that close to different links on most assignments
+    return Template(
+        "mixed", make_microflype(1, 1).plus, make_microflype(-1, -1).minus
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 8))
+def test_verify_template_matches_the_memo_free_oracle(seed, max_len):
+    rng = random.Random(seed)
+    for t in catalog() + [_mixed()]:
+        samples = [sample_assignment(t, rng, max_len) for _ in range(6)]
+        # a sample that misses its blocks fails without a fingerprint
+        samples.insert(rng.randrange(len(samples)), {})
+        assert verify_template(t, samples) == oracle.verify_template(t, samples)
+
+
+def test_verify_template_fingerprints_each_closed_braid_once(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return fingerprint(w)
+
+    monkeypatch.setattr(invariants, "fingerprint", counted)
+    # both sides expand to the same word, so one sample needs one print
+    t = Template("same", make_exchange(1).plus, make_exchange(1).plus)
+    asg = {"P": BraidWord(2, (1, 1, 1)), "Q": BraidWord(2, (-1,))}
+    assert verify_template(t, [asg, asg, asg]).all_pass
+    assert len(calls) == 1
+    # rotations and seam cancellations share the print, within one call
+    w = expand(t.plus, asg)
+    tower = extend(Tower(w), CyclicShift(1), CyclicShift(3))
+    assert replay(tower).constant
+    assert len(calls) == 2
+    replay(tower)
+    assert len(calls) == 3
+
+
+def _held(value):
+    # what a module global holds, one container level down
+    if isinstance(value, dict):
+        return [*value, *value.values()]
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return list(value)
+    return [value]
+
+
+def test_fingerprint_memos_die_with_their_call():
+    # a module-level memo would outlive its call and grow without bound
+    t = make_exchange(1)
+    rng = random.Random(1)
+    verify_template(t, [sample_assignment(t, rng) for _ in range(5)])
+    replay(cyclic_tower(4, sample_assignment(make_cyclic(4), rng)))
+    for module in (invariants, templates, moves):
+        for name, value in vars(module).items():
+            assert not hasattr(value, "cache_info"), name
+            assert not any(
+                isinstance(x, (Fingerprint, LaurentPoly)) for x in _held(value)
+            ), name
+    # the built-in catalog is the one cache that outlives a call
+    cached = [
+        name
+        for name, value in vars(templates).items()
+        if isinstance(value, tuple)
+        and any(isinstance(x, Template) for x in value)
+    ]
+    assert cached == ["_BUILTIN"]
