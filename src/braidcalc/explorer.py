@@ -37,7 +37,7 @@ from .moves import (
     find_destabilizations,
     find_exchanges,
 )
-from .words import BraidWord, cyclic_key, cyclic_reduce, free_reduce
+from .words import BraidWord, _cut_seam, cyclic_key, cyclic_reduce, free_reduce
 
 __all__ = [
     "SearchConfig",
@@ -103,7 +103,7 @@ def _normalize(word: BraidWord) -> tuple[BraidWord, tuple[Move, ...]]:
     # for the free reduction, and conjugating by the inverse of each
     # leading letter the seam loses strips that letter and its partner
     reduced = free_reduce(word)
-    core = cyclic_reduce(reduced)
+    core = _cut_seam(reduced)
     moves = [Conjugate(BraidWord(word.index, ()))] if reduced != word else []
     stripped = reduced.letters[: (len(reduced) - len(core)) // 2]
     moves += [Conjugate(BraidWord(word.index, (-g,))) for g in stripped]
@@ -144,8 +144,10 @@ def search_reduce(
     ]
     root_key = canonical_key(root)
     seen = {root_key}
-    heap = [(proxy_complexity(root), root_key, 0)]
-    best_rank = (proxy_complexity(root), root_key)
+    # a stored state is reduced, so its letters are its reduced length
+    root_rank = (root.index, len(root.letters))
+    heap = [(root_rank, root_key, 0)]
+    best_rank = (root_rank, root_key)
     best_at = 0
     expanded = 0
 
@@ -168,7 +170,8 @@ def search_reduce(
             child, cleanup = _normalize(raw)
             nodes.append((child, at, (move, *cleanup)))
             heapq.heappush(
-                heap, (proxy_complexity(child), child_key, len(nodes) - 1)
+                heap,
+                ((child.index, len(child.letters)), child_key, len(nodes) - 1),
             )
 
     path: list[Move] = []

@@ -38,7 +38,6 @@ from math import isqrt
 from .words import (
     BraidWord,
     closure_components,
-    cyclic_key,
     cyclic_reduce,
     exponent_sum,
 )
@@ -355,10 +354,10 @@ def fingerprint(w: BraidWord) -> Fingerprint:
     return Fingerprint(closure_components(w), alexander(w))
 
 
-def _closed_fingerprint(prints: dict, w: BraidWord) -> Fingerprint:
+def _closed_fingerprint(prints: dict, key, w: BraidWord) -> Fingerprint:
     # fingerprint(w) through the caller's memo, which lives for one call;
-    # words with one cyclic_key close to the same closed braid
-    key = cyclic_key(w)
+    # key is cyclic_key(w), and words with one key close to the same
+    # closed braid
     fp = prints.get(key)
     if fp is None:
         fp = prints[key] = fingerprint(w)

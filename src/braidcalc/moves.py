@@ -38,6 +38,7 @@ from .words import (
     BraidWord,
     _int_field,
     conjugate,
+    cyclic_key,
     format_word,
     parse_word,
     rotate,
@@ -319,7 +320,7 @@ def replay(tower: Tower) -> ReplayReport:
     """
     memo: dict = {}
     current = tower.initial
-    prints = [_closed_fingerprint(memo, current)]
+    prints = [_closed_fingerprint(memo, cyclic_key(current), current)]
     for number, step in enumerate(tower.steps, start=1):
         try:
             computed = apply_move(current, step.move)
@@ -331,7 +332,7 @@ def replay(tower: Tower) -> ReplayReport:
         ):
             return _report(False, number, prints)
         current = computed
-        prints.append(_closed_fingerprint(memo, current))
+        prints.append(_closed_fingerprint(memo, cyclic_key(current), current))
     return _report(True, None, prints)
 
 

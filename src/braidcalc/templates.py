@@ -14,16 +14,20 @@ A template pairs two diagrams over the same block names.  A template
 is the assertion that for every assignment the two expansions close to
 the same link; ``verify_template`` samples assignments and compares
 closure fingerprints, which can refute an encoding but never certify
-it.  Within one call it fingerprints each closed braid once: expansions
-that are rotations of one cyclically reduced word share a fingerprint,
-held in a memo that dies with the call.  A diagram keeps the walk it
-makes when it is built, so expansion and sampling read it instead of
-walking again.  The catalog, built once per process by the ``make_*``
-constructors below, covers
-destabilization, the exchange move in weight one and weighted form,
-the three strand flype, microflypes, a four block necklace that
-cyclically permutes its blocks, and two six strand examples whose two
-sides differ by sliding a strand bundle across interior blocks.
+it.  A sample whose two expansions share a cyclic key (the least
+rotation of the cyclically reduced word) passes without a fingerprint,
+since conjugate words close to the same braid.  Otherwise, within one
+call, it fingerprints each closed braid once: expansions that are
+rotations of one cyclically reduced word share a fingerprint, held in a
+memo that dies with the call.  A diagram keeps the walk it makes when
+it is built, so expansion and sampling read it instead of walking
+again; a band's crossing letters join the walk on first expansion.
+The catalog, built once per process by the ``make_*`` constructors
+below, covers destabilization, the exchange move in weight one and
+weighted form, the three strand flype, microflypes, a four block
+necklace that cyclically permutes its blocks, and two six strand
+examples whose two sides differ by sliding a strand bundle across
+interior blocks.
 
 ``sigma_budget`` counts the top generator letters a diagram can emit
 outside its blocks.  Since blocks seated away from the last strand
@@ -38,11 +42,12 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .invariants import _closed_fingerprint
 from .moves import Conjugate, Destabilize, Stabilize, Tower, extend
-from .words import BraidWord, _int_field, inverse
+from .words import BraidWord, _derived, _int_field, cyclic_key, inverse
 
 __all__ = [
     "CoverageError",
@@ -160,8 +165,9 @@ class BlockStrandDiagram:
     block's span stay strictly below the braid index.
 
     Construction walks the diagram once and keeps the walk: per entry,
-    the entering weights of its slots, its first strand and, for a
-    band, its crossing letters.
+    the entering weights of its slots and its first strand.  A band's
+    crossing letters are built on the diagram's first expansion and
+    kept on it after that.
     """
 
     index: int
@@ -180,15 +186,13 @@ class BlockStrandDiagram:
             )
         slots = len(weights)
         spans: dict[str, int] = {}
-        walked = []
+        steps = []
         for entry, covered, base in _walk(list(weights), entries):
-            crossing = None
             if isinstance(entry, Band):
                 if entry.sign not in (1, -1):
                     raise ValueError(f"band sign must be +1 or -1: {entry}")
                 if not 1 <= entry.pos <= slots - 1:
                     raise ValueError(f"band slot out of range: {entry}")
-                crossing = tuple(_crossing(*covered, base, entry.sign))
             elif not isinstance(entry, BlockRef):
                 raise TypeError(f"not a diagram entry: {entry!r}")
             else:
@@ -211,7 +215,7 @@ class BlockStrandDiagram:
                     raise ValueError(
                         f"block {entry.id!r} appears with two spans"
                     )
-            walked.append((entry, tuple(covered), base, crossing))
+            steps.append((entry, tuple(covered), base))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "entries", entries)
@@ -219,7 +223,23 @@ class BlockStrandDiagram:
             self, "post_destabilization", bool(post_destabilization)
         )
         # not a field: equality, hashing, repr and JSON ignore it
-        object.__setattr__(self, "_walked", tuple(walked))
+        object.__setattr__(self, "_steps", tuple(steps))
+
+    @cached_property
+    def _walked(self):
+        # the stored walk with each band's crossing letters (None for a
+        # block), built on first use; like _steps, not a field
+        return tuple(
+            (
+                entry,
+                covered,
+                base,
+                tuple(_crossing(*covered, base, entry.sign))
+                if isinstance(entry, Band)
+                else None,
+            )
+            for entry, covered, base in self._steps
+        )
 
     @property
     def blocks(self) -> dict[str, int]:
@@ -277,6 +297,8 @@ def band_expand(a: int, b: int, p: int, sign: int, n: int) -> BraidWord:
 
 def _crossing(a: int, b: int, p: int, sign: int) -> list[int]:
     # the letters of band_expand, whose range checks the caller has made
+    if a == b == 1:
+        return [sign * p]
     return [
         sign * s for r in range(b) for s in range(p + a - 1 + r, p + r - 1, -1)
     ]
@@ -319,7 +341,8 @@ def expand(d: BlockStrandDiagram, asg: Assignment) -> BraidWord:
     """
 
     parts = _expansion(d, asg)
-    return BraidWord(d.index, [g for _, part in parts for g in part])
+    # every letter crosses strands inside a checked band or block
+    return _derived(d.index, tuple([g for _, part in parts for g in part]))
 
 
 def sample_assignment(
@@ -336,7 +359,7 @@ def sample_assignment(
     # cannot reorder cables that all weigh the same
     entering: dict[str, set[tuple[int, ...]]] = {}
     for diagram in (t.plus, t.minus):
-        for entry, covered, _, _ in diagram._walked:
+        for entry, covered, _ in diagram._steps:
             if isinstance(entry, BlockRef) and len(set(covered)) > 1:
                 entering.setdefault(entry.id, set()).add(covered)
     asg: Assignment = {}
@@ -394,11 +417,15 @@ class VerifyReport:
 
 
 def verify_template(t: Template, samples: list[Assignment]) -> VerifyReport:
-    """Expand both sides per sample and compare closure fingerprints.
+    """Expand both sides per sample and compare their closures.
 
     Expansion errors do not abort the run; they fail their sample with
-    the error text in the report.  Expansions that are rotations of one
-    cyclically reduced word share a fingerprint, computed once per call.
+    the error text in the report.  A sample whose two expansions share a
+    :func:`~braidcalc.words.cyclic_key` passes without a fingerprint:
+    the words are conjugate, so they close to the same braid.  Otherwise
+    the closure fingerprints are compared; expansions that are rotations
+    of one cyclically reduced word share a fingerprint, computed once
+    per call.
     """
 
     if not samples:
@@ -407,11 +434,17 @@ def verify_template(t: Template, samples: list[Assignment]) -> VerifyReport:
     rows: list[VerifySample] = []
     for number, asg in enumerate(samples, start=1):
         try:
-            plus = _closed_fingerprint(memo, expand(t.plus, asg))
-            minus = _closed_fingerprint(memo, expand(t.minus, asg))
+            plus_word = expand(t.plus, asg)
+            minus_word = expand(t.minus, asg)
         except (CoverageError, IndexMismatch, WeightFlowError) as err:
             rows.append(VerifySample(number, False, str(err)))
             continue
+        plus_key, minus_key = cyclic_key(plus_word), cyclic_key(minus_word)
+        if plus_key == minus_key:
+            rows.append(VerifySample(number, True))
+            continue
+        plus = _closed_fingerprint(memo, plus_key, plus_word)
+        minus = _closed_fingerprint(memo, minus_key, minus_word)
         if plus == minus:
             rows.append(VerifySample(number, True))
         else:
@@ -431,7 +464,7 @@ def sigma_budget(d: BlockStrandDiagram) -> int:
     count of letters ``n - 1`` in any expansion of the diagram.
     """
 
-    for entry, covered, base, _ in d._walked:
+    for entry, covered, base in d._steps:
         if isinstance(entry, BlockRef) and base + sum(covered) - 1 >= d.index:
             raise BlockOnLastStrand(
                 f"block {entry.id!r} spans strands"

@@ -148,6 +148,15 @@ def _position(text: str, start: int) -> tuple[int, int]:
     return line, start - text.rfind("\n", 0, start)
 
 
+def _derived(index: int, letters: tuple[int, ...]) -> BraidWord:
+    # a word whose letters come from a valid word on the same strand
+    # count, built without BraidWord's per-letter range check
+    w = object.__new__(BraidWord)
+    object.__setattr__(w, "index", index)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel adjacent inverse pairs until none remain."""
     stack: list[int] = []
@@ -156,12 +165,12 @@ def free_reduce(w: BraidWord) -> BraidWord:
             stack.pop()
         else:
             stack.append(g)
-    return BraidWord(w.index, stack)
+    return _derived(w.index, tuple(stack))
 
 
 def inverse(w: BraidWord) -> BraidWord:
     """The inverse word: letters reversed and negated."""
-    return BraidWord(w.index, tuple(-g for g in reversed(w.letters)))
+    return _derived(w.index, tuple(-g for g in reversed(w.letters)))
 
 
 def concat(*words: BraidWord) -> BraidWord:
@@ -190,7 +199,7 @@ def rotate(w: BraidWord, k: int) -> BraidWord:
     if not w.letters:
         return w
     k %= len(w.letters)
-    return BraidWord(w.index, w.letters[k:] + w.letters[:k])
+    return _derived(w.index, w.letters[k:] + w.letters[:k])
 
 
 def conjugate(w: BraidWord, g: BraidWord) -> BraidWord:
@@ -246,12 +255,17 @@ def closure_components(w: BraidWord) -> int:
 
 def cyclic_reduce(w: BraidWord) -> BraidWord:
     """Freely reduce, then cancel inverse pairs across the seam."""
-    letters = free_reduce(w).letters
+    return _cut_seam(free_reduce(w))
+
+
+def _cut_seam(w: BraidWord) -> BraidWord:
+    # cancel inverse pairs across the seam of a freely reduced word
+    letters = w.letters
     i, j = 0, len(letters) - 1
     while i < j and letters[i] == -letters[j]:
         i += 1
         j -= 1
-    return BraidWord(w.index, letters[i : j + 1])
+    return _derived(w.index, letters[i : j + 1])
 
 
 def cyclic_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:

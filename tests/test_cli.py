@@ -526,6 +526,21 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
         )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "3: 3"],
+        ["move", "3: 1", '{"kind": "conjugate", "by": "3: 3"}'],
+        ["expand", "exchange_w1", "--assign", "P=2: 2", "--assign", "Q=2:"],
+    ],
+    ids=["word", "move-by", "assign"],
+)
+def test_out_of_range_letters_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "out of range" in err and "Traceback" not in err
+
+
 def _interface(parser):
     # every subcommand's name and help, and every action's settings
     def actions(p):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import timeit
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +46,14 @@ from braidcalc.templates import (
     template_to_json,
     verify_template,
 )
-from braidcalc.words import BraidWord, concat, free_reduce, permutation, rotate
+from braidcalc.words import (
+    BraidWord,
+    concat,
+    cyclic_key,
+    free_reduce,
+    permutation,
+    rotate,
+)
 
 CATALOG_NAMES = [
     "cyclic4",
@@ -518,6 +526,26 @@ def test_stored_walk_is_not_part_of_the_value():
     assert "_walked" not in json.dumps(diagram_to_json(d))
 
 
+def test_band_letters_wait_for_the_first_expansion():
+    # a wide band has a million letters (about 35 ms and 45 MiB to
+    # build); building the diagram must not build them
+    def build():
+        return BlockStrandDiagram(2000, (1000, 1000), (Band(1, 1),))
+
+    assert min(timeit.repeat(build, number=1, repeat=3)) < 0.01
+    assert "_walked" not in vars(build())
+    # construction still checks every entry
+    with pytest.raises(ValueError, match="band slot out of range"):
+        BlockStrandDiagram(2000, (1000, 1000), (Band(2, 1),))
+    # the first expansion builds the letters; later ones reuse them
+    d = BlockStrandDiagram(4, (2, 2), (Band(1, 1),))
+    assert "_walked" not in vars(d)
+    assert expand(d, {}) == band_expand(2, 2, 1, 1, 4)
+    walked = vars(d)["_walked"]
+    assert expand(d, {}) == band_expand(2, 2, 1, 1, 4)
+    assert vars(d)["_walked"] is walked
+
+
 def _mixed():
     # two sides that close to different links on most assignments
     return Template(
@@ -544,18 +572,24 @@ def test_verify_template_fingerprints_each_closed_braid_once(monkeypatch):
         return fingerprint(w)
 
     monkeypatch.setattr(invariants, "fingerprint", counted)
-    # both sides expand to the same word, so one sample needs one print
+    # both sides expand to the same word, so their keys agree and the
+    # samples pass without a print
     t = Template("same", make_exchange(1).plus, make_exchange(1).plus)
     asg = {"P": BraidWord(2, (1, 1, 1)), "Q": BraidWord(2, (-1,))}
     assert verify_template(t, [asg, asg, asg]).all_pass
-    assert len(calls) == 1
+    assert calls == []
+    # the exchange's sides have two keys: one print per key, within a call
+    exchange = make_exchange(1)
+    plus, minus = expand(exchange.plus, asg), expand(exchange.minus, asg)
+    assert cyclic_key(plus) != cyclic_key(minus)
+    assert verify_template(exchange, [asg, asg, asg]).all_pass
+    assert calls == [plus, minus]
     # rotations and seam cancellations share the print, within one call
-    w = expand(t.plus, asg)
-    tower = extend(Tower(w), CyclicShift(1), CyclicShift(3))
+    tower = extend(Tower(plus), CyclicShift(1), CyclicShift(3))
     assert replay(tower).constant
-    assert len(calls) == 2
-    replay(tower)
     assert len(calls) == 3
+    replay(tower)
+    assert len(calls) == 4
 
 
 def _held(value):

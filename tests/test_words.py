@@ -1,5 +1,6 @@
 """Word layer: parsing, free reduction, permutations, closures."""
 
+import random
 import sys
 
 import _words_oracle as oracle
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcalc import words
+from braidcalc.moves import move_from_json
+from braidcalc.templates import catalog, expand, sample_assignment
 from braidcalc.words import (
     BraidWord,
     WordFormatError,
@@ -209,3 +212,42 @@ def test_cyclic_reduce_trims_the_seam():
     w = BraidWord(3, (1, 2))
     assert cyclic_reduce(w) == w
 
+
+@st.composite
+def braid_words(draw, max_index=6, max_len=16):
+    n = draw(st.integers(1, max_index))
+    if n == 1:
+        return BraidWord(1, ())
+    generators = st.integers(1, n - 1)
+    letters = st.tuples(generators, st.sampled_from((1, -1)))
+    drawn = draw(st.lists(letters, max_size=max_len))
+    return BraidWord(n, [g * sign for g, sign in drawn])
+
+
+def _validated(w):
+    # w equals its rebuild by the validating constructor, types included
+    assert type(w) is BraidWord and type(w.letters) is tuple
+    assert all(type(g) is int for g in w.letters)
+    valid = BraidWord(w.index, w.letters)
+    assert w == valid and hash(w) == hash(valid) and repr(w) == repr(valid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(braid_words(), st.integers(-20, 20), st.integers(0, 2**32))
+def test_derived_words_equal_validated_words(w, k, seed):
+    # these build their result without re-checking its letters
+    for f in (free_reduce, inverse, cyclic_reduce, lambda w: rotate(w, k)):
+        _validated(f(w))
+    rng = random.Random(seed)
+    t = rng.choice(catalog())
+    for side in (t.plus, t.minus):
+        _validated(expand(side, sample_assignment(t, rng, 6)))
+
+
+def test_outside_letters_still_validate():
+    with pytest.raises(ValueError, match="out of range"):
+        BraidWord(3, (3,))
+    with pytest.raises(WordFormatError, match="out of range"):
+        parse_word("3: 3")
+    with pytest.raises(ValueError, match="out of range"):
+        move_from_json({"kind": "conjugate", "by": "3: 3"})
