@@ -6,19 +6,19 @@ the one variable Alexander polynomial
     alexander(w) = det(burau(w) - I) / (1 + t + ... + t^(n-1))
 
 normalized so the lowest exponent is zero and the lowest coefficient is
-positive.  ``burau`` is the reduced Burau matrix over integer Laurent
-polynomials, built by rewriting one column per letter.  ``alexander``
-does the same column updates on packed integers instead (Kronecker
-substitution): every entry is evaluated at t = 2^K, column j scaled by
-t^e_j so that a letter's t^-1 stays integral, and the determinant is
-integer Bareiss elimination, whose divisions are exact.  The result is
-read back as balanced base 2^K digits, which is exact when every
-coefficient is below 2^(K-1) in size.  K is sized twice.  A per-column
-recurrence on L1 norms bounds the entries; decoding them gives their
-true L1 norms, and since a coefficient is at most the polynomial's
-maximum on the unit circle, Hadamard's bound there (the product of the
-column norms) bounds the determinant and fixes the K it is computed at.
-The division by ``1 + ... + t^(n-1)`` stays an exact Laurent division.
+positive.  One column recurrence builds the reduced Burau matrix on
+packed integers (Kronecker substitution): every entry is evaluated at
+t = 2^K, column j scaled by t^e_j so that a letter's t^-1 stays
+integral.  ``burau`` decodes the columns; ``alexander`` subtracts the
+identity and takes the determinant by integer Bareiss elimination,
+whose divisions are exact.  Packed values are read back as balanced
+base 2^K digits, exact when every coefficient is below 2^(K-1) in
+size.  K is sized twice.  A per-column recurrence on L1 norms bounds
+the entries; decoding them gives their true L1 norms, and since a
+coefficient is at most the polynomial's maximum on the unit circle,
+Hadamard's bound there (the product of the column norms) bounds the
+determinant and fixes the K it is computed at.  The division by
+``1 + ... + t^(n-1)`` runs on the determinant's digits.
 ``alexander`` works on the cyclically reduced word: conjugation and free
 reduction leave the closed braid as it is, and the letters they drop
 would only lengthen the products.  Both entries are unchanged by
@@ -32,7 +32,6 @@ negative stabilization and is reported separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from math import isqrt
 
 from .words import (
@@ -82,16 +81,8 @@ class LaurentPoly:
         object.__setattr__(self, "coeffs", c[start:end])
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
     def one() -> "LaurentPoly":
         return LaurentPoly(0, (1,))
-
-    @staticmethod
-    def term(coeff: int, exp: int = 0) -> "LaurentPoly":
-        return LaurentPoly(exp, (coeff,))
 
     def items(self) -> list[tuple[int, int]]:
         return [(e, c) for e, c in enumerate(self.coeffs, self.low) if c]
@@ -99,63 +90,14 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def _aligned(self, other: "LaurentPoly"):
-        # both coefficient lists padded to start at the lower exponent
-        low = min(self.low, other.low)
-        return low, zip_longest(
-            (0,) * (self.low - low) + self.coeffs,
-            (0,) * (other.low - low) + other.coeffs,
-            fillvalue=0,
-        )
-
-    # tuples are built from lists, not generators: a generator's tuple is
-    # resized from a guessed size, which fills CPython's tuple free lists
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        low, pairs = self._aligned(other)
-        return LaurentPoly(low, tuple([a + b for a, b in pairs]))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        low, pairs = self._aligned(other)
-        return LaurentPoly(low, tuple([a - b for a, b in pairs]))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.low, tuple([-c for c in self.coeffs]))
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = [0] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs, i):
-                out[j] += a * b
-        return LaurentPoly(self.low + other.low, tuple(out))
-
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by ``t^k``."""
         return LaurentPoly(self.low + k, self.coeffs)
 
-    def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Divide exactly, raising :class:`DivisibilityFailure` on remainder."""
-        den = divisor.coeffs
-        if not den:
-            raise DivisibilityFailure("division by the zero polynomial")
-        # long division from the top coefficient down
-        rem = list(self.coeffs)
-        quot = [0] * max(len(rem) - len(den) + 1, 0)
-        for i in reversed(range(len(quot))):
-            q, r = divmod(rem[i + len(den) - 1], den[-1])
-            if r:
-                raise DivisibilityFailure("nonzero remainder")
-            quot[i] = q
-            for j, d in enumerate(den, i):
-                rem[j] -= q * d
-        if any(rem):
-            raise DivisibilityFailure("nonzero remainder")
-        return LaurentPoly(self.low - divisor.low, tuple(quot))
-
     def normalized(self) -> "LaurentPoly":
         """Scale by a unit so the lowest exponent is 0 with positive coefficient."""
-        if self.coeffs and self.coeffs[0] < 0:
-            return (-self).shift(-self.low)
-        return self.shift(-self.low)
+        sign = -1 if self.coeffs and self.coeffs[0] < 0 else 1
+        return LaurentPoly(0, tuple([sign * c for c in self.coeffs]))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -190,19 +132,12 @@ def burau(w: BraidWord) -> Matrix:
     rewrites one column of the running product.
     """
 
-    m = w.index - 1
-    zero, one = LaurentPoly.zero(), LaurentPoly.one()
-    rows = [[one if i == j else zero for j in range(m)] for i in range(m)]
-    for g in w.letters:
-        c = abs(g) - 1
-        for row in rows:
-            left = row[c - 1] if c > 0 else zero
-            right = row[c + 1] if c + 1 < m else zero
-            if g > 0:
-                row[c] = (left - row[c]).shift(1) + right
-            else:
-                row[c] = left + (right - row[c]).shift(-1)
-    return tuple(tuple(row) for row in rows)
+    cols, exps, k = _packed_burau(w)
+    cols = [
+        [LaurentPoly(-e, tuple(_digits(x, k))) for x in col]
+        for col, e in zip(cols, exps)
+    ]
+    return tuple(zip(*cols))
 
 
 def _digits(x: int, k: int) -> list[int]:
@@ -239,18 +174,16 @@ def _pack(coeffs: list[int], k: int) -> int:
     return x
 
 
-def _packed_burau_minus_identity(
-    w: BraidWord,
-) -> tuple[list[list[int]], list[int], int]:
-    # the columns of burau(w) - I evaluated at t = 2^k, with column j
-    # stored times t^e_j so that every entry is a polynomial, then the
-    # e_j and k.  A letter rewrites column c from its neighbours as
-    # burau does, its t and t^-1 folded into shifts by the least
-    # exponent that keeps the column integral.
+def _packed_burau(w: BraidWord) -> tuple[list[list[int]], list[int], int]:
+    # the columns of burau(w) evaluated at t = 2^k, with column j stored
+    # times t^e_j so that every entry is a polynomial, then the e_j and
+    # k.  A letter rewrites column c from its neighbours, its t and t^-1
+    # folded into shifts by the least exponent that keeps the column
+    # integral.
     m = w.index - 1
     # a rewritten entry's L1 norm is at most the sum of its three
     # sources', so with the running column maxima, max(l1) + 1 bounds
-    # every coefficient of burau(w) - I
+    # every coefficient of burau(w) and of burau(w) - I
     l1 = [0, *[1] * m, 0]
     for g in w.letters:
         c = abs(g)
@@ -273,10 +206,21 @@ def _packed_burau_minus_identity(
             for a, b, d in zip(cols[c - 1], cols[c], cols[c + 1])
         ]
         bits[c] = e
-    cols, bits = cols[1:-1], bits[1:-1]
-    for j, col in enumerate(cols):
-        col[j] -= 1 << bits[j]
-    return cols, [b // k for b in bits], k
+    return cols[1:-1], [b // k for b in bits[1:-1]], k
+
+
+def _divide_geometric(p: list[int], n: int) -> list[int]:
+    # the coefficients, lowest first, of p / (1 + t + ... + t^(n-1)):
+    # from p (1 - t) = q (1 - t^n), q_i = p_i - p_(i-1) + q_(i-n), and
+    # the division is exact when the top n - 1 places of q vanish
+    q, prev = [], 0
+    for i, c in enumerate(p):
+        q.append(c - prev + (q[i - n] if i >= n else 0))
+        prev = c
+    cut = max(len(p) - n + 1, 0)
+    if any(q[cut:]):
+        raise DivisibilityFailure("nonzero remainder")
+    return q[:cut]
 
 
 def _bareiss(a: list[list[int]]) -> int:
@@ -314,7 +258,7 @@ def alexander(w: BraidWord) -> LaurentPoly:
         return LaurentPoly.one()
     # conjugation and free reduction keep the closure, so the shorter
     # cyclically reduced word gives the same polynomial
-    cols, exps, k = _packed_burau_minus_identity(cyclic_reduce(w))
+    cols, exps, k = _packed_burau(cyclic_reduce(w))
     # each coefficient of the determinant is at most its maximum on
     # the unit circle, which Hadamard bounds by the product of the
     # column norms, and an entry's modulus there is at most its L1 norm;
@@ -323,6 +267,7 @@ def alexander(w: BraidWord) -> LaurentPoly:
     # swaps are those of the Laurent elimination.
     bound, coeffs = 1, []
     for j, col in enumerate(cols):
+        col[j] -= 1 << k * exps[j]
         # drop the column's common power of t: a nonzero x has fewer
         # than k trailing zero bits above its lowest nonzero field
         low = min(
@@ -334,8 +279,8 @@ def alexander(w: BraidWord) -> LaurentPoly:
         coeffs.append(entries)
     kd = (isqrt(bound) + 1).bit_length() + 1
     det = _bareiss([[_pack(cs, kd) for cs in row] for row in zip(*coeffs)])
-    poly = LaurentPoly(-sum(exps), tuple(_digits(det, kd)))
-    return poly.exact_div(LaurentPoly(0, (1,) * w.index)).normalized()
+    quotient = _divide_geometric(_digits(det, kd), w.index)
+    return LaurentPoly(-sum(exps), tuple(quotient)).normalized()
 
 
 @dataclass(frozen=True)

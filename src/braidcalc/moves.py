@@ -355,10 +355,12 @@ def move_to_json(move: Move) -> dict:
 
 
 def move_from_json(data: dict) -> Move:
-    """Decode a move dictionary; malformed documents raise ``ValueError``.
+    """Decode a move dictionary.
 
     Every integer field must be a JSON integer, and ``sign`` and ``eps``
-    must be +1 or -1.
+    must be +1 or -1.  A malformed document raises ``ValueError``, a
+    missing field ``KeyError``, and a document or field of the wrong JSON
+    type ``TypeError`` or ``AttributeError``.
     """
     kind = data.get("kind")
     # the str test keeps an unhashable kind, such as a list, off the table

@@ -704,10 +704,12 @@ def diagram_to_json(d: BlockStrandDiagram) -> dict:
 
 
 def diagram_from_json(data: dict) -> BlockStrandDiagram:
-    """Decode a diagram; malformed documents raise ``ValueError``.
+    """Decode a diagram.
 
     Every integer must be a JSON integer, a block ``id`` a string and
-    ``post_destabilization`` a JSON bool.
+    ``post_destabilization`` a JSON bool.  A malformed document raises
+    ``ValueError``, a missing field ``KeyError``, and a document or field
+    of the wrong JSON type ``TypeError`` or ``AttributeError``.
     """
     post = data.get("post_destabilization", False)
     if type(post) is not bool:

@@ -2,26 +2,33 @@
 
 ``DictLaurentPoly`` is the Laurent polynomial class as it was before the
 dense ``(low, coeffs)`` form: a dict from exponent to nonzero
-coefficient.  It is the oracle for differential tests of
-:class:`braidcalc.invariants.LaurentPoly`.
+coefficient, with the ring operations and the exact long division.  It
+is the oracle for differential tests of
+:class:`braidcalc.invariants.LaurentPoly` and of the division that
+:func:`braidcalc.invariants.alexander` runs on digits, and every other
+function here computes over it.
 
 ``burau`` is the reduced Burau product as it was before the one-column
 update: every letter becomes a full ``(n - 1) x (n - 1)`` generator
-matrix and the running product is multiplied by it.  It is the oracle
-for :func:`braidcalc.invariants.burau`.
+matrix and the running product is multiplied by it.  ``column_burau``
+is the one-column update as it was before it moved to packed integers:
+each letter rewrites one column of the running product.  Both are
+oracles for :func:`braidcalc.invariants.burau`.
 
 ``_det`` and ``alexander`` are the Alexander polynomial as it was
 before it moved to packed integers: fraction-free Bareiss elimination
-over Laurent polynomials applied to ``burau(w) - I``, then the exact
-quotient by ``1 + t + ... + t^(n-1)``.  They are the oracle for
+over Laurent polynomials applied to ``column_burau(w) - I``, then the
+exact quotient by ``1 + t + ... + t^(n-1)``.  They are the oracle for
 :func:`braidcalc.invariants.alexander`.
+
+Each public function returns :class:`braidcalc.invariants.LaurentPoly`
+values, converted at its return by ``dense``.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from braidcalc import invariants
 from braidcalc.invariants import DivisibilityFailure, LaurentPoly
 from braidcalc.words import BraidWord
 
@@ -170,37 +177,50 @@ class DictLaurentPoly:
 
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
+Rows = list[list[DictLaurentPoly]]
 
 
-def _mat_identity(m: int) -> Matrix:
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    return tuple(
-        tuple(one if i == j else zero for j in range(m)) for i in range(m)
-    )
+def dense(p: DictLaurentPoly) -> LaurentPoly:
+    """The same polynomial as a :class:`braidcalc.invariants.LaurentPoly`."""
+    if p.is_zero():
+        return LaurentPoly()
+    span = range(p.min_exp, p.max_exp + 1)
+    return LaurentPoly(p.min_exp, tuple(p.coefficient(e) for e in span))
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def _dense_matrix(rows: Rows) -> Matrix:
+    return tuple(tuple(dense(x) for x in row) for row in rows)
+
+
+def _identity(m: int) -> Rows:
+    one, zero = DictLaurentPoly.one(), DictLaurentPoly.zero()
+    return [[one if i == j else zero for j in range(m)] for i in range(m)]
+
+
+def _mat_mul(a: Rows, b: Rows) -> Rows:
     m = len(a)
     out = []
     for i in range(m):
         row = []
         for j in range(m):
-            acc = LaurentPoly.zero()
+            acc = DictLaurentPoly.zero()
             for k in range(m):
                 acc = acc + a[i][k] * b[k][j]
             row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+        out.append(row)
+    return out
 
 
 @cache
-def _generator_matrix(n: int, g: int) -> Matrix:
+def _generator_matrix(
+    n: int, g: int
+) -> tuple[tuple[DictLaurentPoly, ...], ...]:
     """Reduced Burau image of the letter ``g`` in the group on ``n`` strands."""
     m = n - 1
-    t = LaurentPoly.term(1, 1)
-    tinv = LaurentPoly.term(1, -1)
-    one = LaurentPoly.one()
-    rows = [list(row) for row in _mat_identity(m)]
+    t = DictLaurentPoly.term(1, 1)
+    tinv = DictLaurentPoly.term(1, -1)
+    one = DictLaurentPoly.one()
+    rows = _identity(m)
     i = abs(g)
     if g > 0:
         if m == 1:
@@ -238,26 +258,51 @@ def burau(w: BraidWord) -> Matrix:
     strand yields the empty matrix.
     """
 
-    m = _mat_identity(w.index - 1)
+    m = _identity(w.index - 1)
     for g in w.letters:
         m = _mat_mul(m, _generator_matrix(w.index, g))
-    return m
+    return _dense_matrix(m)
 
 
-def _det(mat: Matrix) -> LaurentPoly:
+def _columns(w: BraidWord) -> Rows:
+    # a letter g differs from the identity only in column c = |g| - 1,
+    # whose rows c - 1, c, c + 1 hold t, -t, 1 for a positive letter and
+    # 1, -t^-1, t^-1 for a negative one (rows outside the matrix
+    # dropped), so each letter rewrites one column of the running product
+    m = w.index - 1
+    zero = DictLaurentPoly.zero()
+    rows = _identity(m)
+    for g in w.letters:
+        c = abs(g) - 1
+        for row in rows:
+            left = row[c - 1] if c > 0 else zero
+            right = row[c + 1] if c + 1 < m else zero
+            if g > 0:
+                row[c] = (left - row[c]).shift(1) + right
+            else:
+                row[c] = left + (right - row[c]).shift(-1)
+    return rows
+
+
+def column_burau(w: BraidWord) -> Matrix:
+    """Reduced Burau matrix of a word, one column update per letter."""
+    return _dense_matrix(_columns(w))
+
+
+def _dict_det(mat: Rows) -> DictLaurentPoly:
     # fraction-free Bareiss elimination (Math. Comp. 22, 1968): each
     # entry update divides exactly by the previous pivot, and a zero
     # pivot is replaced by a row swap that flips the sign
     a = [list(row) for row in mat]
     m = len(a)
     if m == 0:
-        return LaurentPoly.one()
-    sign, prev = 1, LaurentPoly.one()
+        return DictLaurentPoly.one()
+    sign, prev = 1, DictLaurentPoly.one()
     for k in range(m - 1):
         if a[k][k].is_zero():
             rest = [i for i in range(k + 1, m) if not a[i][k].is_zero()]
             if not rest:
-                return LaurentPoly.zero()
+                return DictLaurentPoly.zero()
             a[k], a[rest[0]] = a[rest[0]], a[k]
             sign = -sign
         pivot = a[k][k]
@@ -270,16 +315,20 @@ def _det(mat: Matrix) -> LaurentPoly:
     return a[-1][-1] if sign > 0 else -a[-1][-1]
 
 
+def _det(mat: Rows) -> LaurentPoly:
+    """Determinant of a square matrix of ``DictLaurentPoly`` entries."""
+    return dense(_dict_det(mat))
+
+
 def alexander(w: BraidWord) -> LaurentPoly:
     """Normalized one variable Alexander polynomial of the closure."""
 
     if w.index == 1:
         return LaurentPoly.one()
-    one = LaurentPoly.one()
-    det = _det(
-        tuple(
-            tuple(x - one if i == j else x for j, x in enumerate(row))
-            for i, row in enumerate(invariants.burau(w))
-        )
-    )
-    return det.exact_div(LaurentPoly(0, (1,) * w.index)).normalized()
+    one = DictLaurentPoly.one()
+    rows = _columns(w)
+    for i, row in enumerate(rows):
+        row[i] = row[i] - one
+    det = _dict_det(rows)
+    cycle = DictLaurentPoly({e: 1 for e in range(w.index)})
+    return dense(det.exact_div(cycle).normalized())

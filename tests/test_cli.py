@@ -366,7 +366,8 @@ def _edited(doc, *changes):
 # each a document that a loose decoder reads as a valid one: the
 # destabilize_pos template, where "P=2: 1" expands to "3: 1 2", a
 # consistent census, and a diagram whose block P has spans 2 and 3, each
-# clear of the last strand
+# clear of the last strand; then a template without its plus side and a
+# census row without b, each missing a field that the decoder reads
 _TEMPLATE = template_to_json(make_destabilize(1))
 _CENSUS = {"V": [{"a": 1, "b": 1, "count": 4}], "Ea": 4, "Eb": 2, "Es": 2}
 _DOCUMENTS = {
@@ -385,6 +386,8 @@ _DOCUMENTS = {
     "{count-float}": _edited(_CENSUS, (("V", 0), "count", 4.9)),
     "{es-float}": _edited(_CENSUS, ((), "Es", 2.5)),
     "{chi-bool}": _edited(_CENSUS, ((), "chi", True)),
+    "{no-plus}": {k: v for k, v in _TEMPLATE.items() if k != "plus"},
+    "{no-b}": {**_CENSUS, "V": [{"a": 1, "count": 4}]},
     "{two-spans}": {
         "n": 4,
         "weights": [1, 1, 1, 1],
@@ -413,6 +416,7 @@ _DOCUMENTS = {
         ["move", "3: 1 2", '{"kind": "stabilize", "sign": true}'],
         ["move", "3: 1 2", '{"kind": "stabilize", "sign": "1"}'],
         ["move", "3: 1 2", '{"kind": "cyclic", "k": 1.5}'],
+        ["move", "3: 1 2", '{"kind": "stabilize"}'],
         [
             "move",
             "3: 1 2 1 2",
@@ -431,10 +435,11 @@ _DOCUMENTS = {
                 "{post-string}",
                 "{name-int}",
                 "{id-int}",
+                "{no-plus}",
             )
         ],
         *[["census", name] for name in ("{count-float}", "{es-float}",
-                                         "{chi-bool}")],
+                                         "{chi-bool}", "{no-b}")],
         ["reduce", "3: 1 -2", "--out", "{dir}"],
         ["move", "2: 1", "[" * 100_000],
         ["replay", "{deep}"],
@@ -460,6 +465,7 @@ _DOCUMENTS = {
         "move-sign-bool",
         "move-sign-string",
         "move-k-float",
+        "move-no-sign",
         "move-eps-float",
         "tower-sign-bool",
         "conj-cap-0",
@@ -470,9 +476,11 @@ _DOCUMENTS = {
         "template-post-string",
         "template-name-int",
         "template-id-int",
+        "template-no-plus",
         "census-count-float",
         "census-es-float",
         "census-chi-bool",
+        "census-no-b",
         "reduce-out-dir",
         "move-deep",
         "tower-deep",

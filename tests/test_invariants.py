@@ -1,4 +1,10 @@
-"""Laurent arithmetic, Burau matrices, link fingerprints."""
+"""Laurent polynomial values, Burau matrices, link fingerprints.
+
+``braidcalc.invariants`` keeps no Laurent ring arithmetic: its Burau
+matrices and Alexander polynomials come from packed integers.  The
+independent references are in ``_invariants_oracle``, which computes
+over its own dict polynomials, and sympy for determinants.
+"""
 
 import dataclasses
 import random
@@ -16,8 +22,8 @@ from braidcalc.invariants import (
     Fingerprint,
     LaurentPoly,
     _digits,
+    _divide_geometric,
     _pack,
-    _packed_burau_minus_identity,
     alexander,
     burau,
     fingerprint,
@@ -36,57 +42,34 @@ from braidcalc.words import (
 
 
 def poly(d):
-    out = LaurentPoly.zero()
-    for e, c in d.items():
-        out = out + LaurentPoly.term(c, e)
-    return out
+    # the dense constructor, fed the dict's zero coefficients as well
+    low = min(d, default=0)
+    top = max(d, default=low - 1)
+    return LaurentPoly(low, tuple(d.get(e, 0) for e in range(low, top + 1)))
 
 
 def test_poly_basics():
-    assert LaurentPoly.zero().is_zero()
+    assert LaurentPoly().is_zero()
     assert LaurentPoly.one() == poly({0: 1})
-    assert poly({2: 0}) == LaurentPoly.zero()
+    assert poly({2: 0}) == LaurentPoly()
     p = poly({0: 1, 1: -1, 2: 1})
     assert (p.low, p.coeffs) == (0, (1, -1, 1))
     assert p.items() == [(0, 1), (1, -1), (2, 1)]
     assert LaurentPoly(-3, (0, 0, 2, 0, -1, 0)) == LaurentPoly(-1, (2, 0, -1))
-    assert LaurentPoly(5, (0, 0)) == LaurentPoly.zero()
-    assert (LaurentPoly.zero().low, LaurentPoly.zero().coeffs) == (0, ())
+    assert LaurentPoly(5, (0, 0)) == LaurentPoly()
+    assert (LaurentPoly().low, LaurentPoly().coeffs) == (0, ())
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.low = 1
-
-
-def test_poly_arithmetic():
-    p = poly({0: 1, 1: 2})
-    q = poly({0: 1, 1: -1})
-    assert p + q == poly({0: 2, 1: 1})
-    assert p - p == LaurentPoly.zero()
-    assert p * q == poly({0: 1, 1: 1, 2: -2})
-    assert p.shift(3) == poly({3: 1, 4: 2})
-    assert -q == poly({0: -1, 1: 1})
-
-
-def test_poly_exact_division():
-    # (1 + t)(1 - t + t^2) = 1 + t^3
-    num = poly({0: 1, 3: 1})
-    den = poly({0: 1, 1: 1})
-    assert num.exact_div(den) == poly({0: 1, 1: -1, 2: 1})
-    assert num.shift(-2).exact_div(den) == poly({-2: 1, -1: -1, 0: 1})
-    with pytest.raises(DivisibilityFailure):
-        poly({0: 1, 1: 1}).exact_div(poly({0: 2}))
-    with pytest.raises(DivisibilityFailure):
-        poly({0: 1}).exact_div(LaurentPoly.zero())
-    assert LaurentPoly.zero().exact_div(den) == LaurentPoly.zero()
 
 
 def test_poly_normalized():
     assert poly({-2: -1, -1: 1}).normalized() == poly({0: 1, 1: -1})
     assert poly({3: 2}).normalized() == poly({0: 2})
-    assert LaurentPoly.zero().normalized() == LaurentPoly.zero()
+    assert LaurentPoly().normalized() == LaurentPoly()
 
 
 def test_poly_renderer():
-    assert str(LaurentPoly.zero()) == "0"
+    assert str(LaurentPoly()) == "0"
     assert str(LaurentPoly.one()) == "1"
     assert str(poly({0: 1, 1: -1, 2: 1})) == "1 - t + t^2"
     assert str(poly({0: 1, 1: -3, 2: 1})) == "1 - 3*t + t^2"
@@ -96,13 +79,6 @@ def test_poly_renderer():
 
 
 TERMS = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=5)
-
-
-def dense(d):
-    # the dense constructor, fed the dict's zero coefficients as well
-    low = min(d, default=0)
-    top = max(d, default=low - 1)
-    return LaurentPoly(low, tuple(d.get(e, 0) for e in range(low, top + 1)))
 
 
 def agree(p, o):
@@ -118,29 +94,59 @@ def agree(p, o):
         )
 
 
-def quotient(p, q):
+@settings(max_examples=300, deadline=None)
+@given(TERMS, st.integers(-6, 6))
+def test_poly_matches_dict_oracle(d, k):
+    p, op = poly(d), oracle.DictLaurentPoly(d)
+    agree(p, op)
+    agree(p.shift(k), op.shift(k))
+    agree(p.normalized(), op.normalized())
+    assert oracle.dense(op) == p
+
+
+@st.composite
+def geometric_dividends(draw):
+    # n and the coefficients, lowest first, of a multiple of
+    # 1 + t + ... + t^(n-1), of such a multiple with one coefficient
+    # moved by one (a remainder unless n is 1), or of an arbitrary
+    # polynomial; a list may end in zeros
+    n = draw(st.integers(1, 9))
+    coeffs = st.lists(st.integers(-6, 6), max_size=12)
+    kind = draw(st.sampled_from(("multiple", "near", "arbitrary")))
+    if kind == "arbitrary":
+        return draw(coeffs), n
+    q = draw(coeffs)
+    p = [0] * (len(q) + n - 1) if q else []
+    for i, c in enumerate(q):
+        for j in range(i, i + n):
+            p[j] += c
+    if kind == "near" and p:
+        p[draw(st.integers(0, len(p) - 1))] += draw(st.sampled_from((1, -1)))
+    return p, n
+
+
+def divided(p, n):
+    # the quotient's terms, or None on a remainder
     try:
-        return p.exact_div(q).items()
+        return LaurentPoly(0, tuple(_divide_geometric(p, n))).items()
     except DivisibilityFailure:
         return None
 
 
+def oracle_divided(p, n):
+    cycle = oracle.DictLaurentPoly({e: 1 for e in range(n)})
+    try:
+        quotient = oracle.DictLaurentPoly(dict(enumerate(p))).exact_div(cycle)
+    except DivisibilityFailure:
+        return None
+    return quotient.items()
+
+
 @settings(max_examples=300, deadline=None)
-@given(TERMS, TERMS, st.integers(-6, 6))
-def test_poly_matches_dict_oracle(d, e, k):
-    p, op = dense(d), oracle.DictLaurentPoly(d)
-    q, oq = dense(e), oracle.DictLaurentPoly(e)
-    agree(p, op)
-    agree(p + q, op + oq)
-    agree(p - q, op - oq)
-    agree(p * q, op * oq)
-    agree(-p, -op)
-    agree(p.shift(k), op.shift(k))
-    agree(p.normalized(), op.normalized())
-    if not q.is_zero():
-        agree((p * q).exact_div(q), (op * oq).exact_div(oq))
-    # on an arbitrary pair both raise or neither, with the same quotient
-    assert quotient(p, q) == quotient(op, oq)
+@given(geometric_dividends())
+def test_digit_division_matches_dict_oracle(case):
+    p, n = case
+    assert divided(p, n) == oracle_divided(p, n)
 
 
 def test_burau_relations():
@@ -175,8 +181,8 @@ def test_alexander_frozen_values():
     # Hopf link
     assert alexander(BraidWord(2, (1, 1))) == poly({0: 1, 1: -1})
     # split closures vanish
-    assert alexander(BraidWord(2, ())) == LaurentPoly.zero()
-    assert alexander(BraidWord(3, (1,))) == LaurentPoly.zero()
+    assert alexander(BraidWord(2, ())) == LaurentPoly()
+    assert alexander(BraidWord(3, (1,))) == LaurentPoly()
 
 
 def test_alexander_mirror_symmetry():
@@ -271,9 +277,11 @@ def test_burau_respects_inverse(w):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_words(max_index=8, max_size=40))
+@given(st.integers(1, 10).flatmap(lambda n: words_on(n, 40)))
 def test_burau_matches_oracle(w):
-    assert burau(w) == oracle.burau(w)
+    # the packed columns, decoded, against full matrix products and the
+    # one-column update over dict polynomials
+    assert burau(w) == oracle.burau(w) == oracle.column_burau(w)
 
 
 def sympy_det(mat):
@@ -281,7 +289,7 @@ def sympy_det(mat):
     # multiplied by t^-low so that all exponents are natural
     t = sympy.Symbol("t")
     ring = sympy.ZZ[t]
-    low = min((x.low for row in mat for x in row if not x.is_zero()),
+    low = min((x.min_exp for row in mat for x in row if not x.is_zero()),
               default=0)
     rows = [
         [ring.ring.from_dict({(e - low,): c for e, c in x.items()})
@@ -293,10 +301,10 @@ def sympy_det(mat):
 
 
 SPARSE_POLYS = st.one_of(
-    st.just(LaurentPoly.zero()),
+    st.just(oracle.DictLaurentPoly()),
     st.dictionaries(
         st.integers(-2, 2), st.integers(-3, 3), max_size=3
-    ).map(poly),
+    ).map(oracle.DictLaurentPoly),
 )
 
 
@@ -307,18 +315,21 @@ def sparse_matrices(draw):
     rows = [entries[i * m:(i + 1) * m] for i in range(m)]
     # zero leading entries force a row swap before the first pivot
     for i in range(draw(st.integers(0, m - 1))):
-        rows[i][0] = LaurentPoly.zero()
+        rows[i][0] = oracle.DictLaurentPoly()
     return rows
 
 
 @st.composite
 def burau_minus_identity(draw):
     w = draw(small_words(max_index=7, max_size=12))
-    one = LaurentPoly.one()
-    return [
-        [x - one if i == j else x for j, x in enumerate(row)]
-        for i, row in enumerate(burau(w))
+    one = oracle.DictLaurentPoly.one()
+    rows = [
+        [oracle.DictLaurentPoly(dict(x.items())) for x in row]
+        for row in burau(w)
     ]
+    for i, row in enumerate(rows):
+        row[i] = row[i] - one
+    return rows
 
 
 @settings(max_examples=150, deadline=None)
@@ -331,17 +342,6 @@ def test_det_matches_sympy(mat):
 @given(st.integers(1, 10).flatmap(lambda n: words_on(n, 80)))
 def test_alexander_matches_oracle(w):
     assert alexander(w) == oracle.alexander(w)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(2, 10).flatmap(lambda n: words_on(n, 40)))
-def test_packed_burau_decodes_to_burau_minus_identity(w):
-    cols, exps, k = _packed_burau_minus_identity(w)
-    mat = burau(w)
-    for j, col in enumerate(cols):
-        for i, x in enumerate(col):
-            want = mat[i][j] - LaurentPoly.term(int(i == j))
-            assert LaurentPoly(-exps[j], tuple(_digits(x, k))) == want
 
 
 def test_digits_invert_pack_up_to_the_extreme_digits():
@@ -384,7 +384,13 @@ def edge_words():
 def test_alexander_edge_cases_match_oracle():
     for w in edge_words():
         assert alexander(w) == oracle.alexander(w), w
-    assert alexander(parse_word("5: 1 2 -4")) == LaurentPoly.zero()
+    assert alexander(parse_word("5: 1 2 -4")) == LaurentPoly()
+
+
+def test_burau_edge_cases_match_oracle():
+    for w in edge_words():
+        assert burau(w) == oracle.burau(w), w
+    assert burau(BraidWord(1, ())) == ()
 
 
 def test_alexander_is_polynomial_time():
