@@ -24,6 +24,7 @@ from braidcalc.invariants import (
     _digits,
     _divide_geometric,
     _pack,
+    _packed_burau,
     alexander,
     burau,
     fingerprint,
@@ -342,6 +343,25 @@ def test_det_matches_sympy(mat):
 @given(st.integers(1, 10).flatmap(lambda n: words_on(n, 80)))
 def test_alexander_matches_oracle(w):
     assert alexander(w) == oracle.alexander(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10).flatmap(lambda n: words_on(n, 40)))
+def test_packed_burau_decodes_to_burau_minus_identity(w):
+    # alexander subtracts the identity from the packed columns in place,
+    # so the bit width must leave room for burau(w) - I as well: decoded,
+    # those columns match the oracle's matrix minus the identity
+    cols, exps, k = _packed_burau(w)
+    mat = oracle.burau(w)
+    one = oracle.DictLaurentPoly.one()
+    for j, col in enumerate(cols):
+        col[j] -= 1 << k * exps[j]
+        for i, x in enumerate(col):
+            want = oracle.DictLaurentPoly(dict(mat[i][j].items()))
+            if i == j:
+                want = want - one
+            got = LaurentPoly(-exps[j], tuple(_digits(x, k)))
+            assert got == oracle.dense(want), (w, i, j)
 
 
 def test_digits_invert_pack_up_to_the_extreme_digits():
