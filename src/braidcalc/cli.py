@@ -38,7 +38,6 @@ from .garside import (
 )
 from .moves import (
     apply_move,
-    dump_tower,
     load_tower,
     move_from_json,
     replay,
@@ -58,7 +57,9 @@ from .templates import (
     sigma_budget,
     verify_template,
 )
-from .words import BraidWord, WordFormatError, format_word, parse_word
+from .words import (
+    BraidWord, WordFormatError, _dump_json, _json_text, format_word, parse_word
+)
 
 __all__ = ["main"]
 
@@ -99,7 +100,7 @@ def _document(what: str):
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(text)
 
@@ -340,7 +341,7 @@ def _cmd_reduce(args) -> int:
     doc = tower_to_json(outcome.best)
     if args.out:
         with _document("--out path"):
-            dump_tower(outcome.best, args.out)
+            _dump_json(doc, args.out)
         text = summary
     else:
         text = json.dumps(doc) + "\n" + summary

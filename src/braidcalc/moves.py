@@ -36,6 +36,7 @@ from dataclasses import dataclass, fields
 from .invariants import Fingerprint, _closed_fingerprint
 from .words import (
     BraidWord,
+    _dump_json,
     _int_field,
     conjugate,
     cyclic_key,
@@ -397,9 +398,7 @@ def tower_from_json(data: dict) -> Tower:
 
 
 def dump_tower(tower: Tower, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tower_to_json(tower), fh, indent=2)
-        fh.write("\n")
+    _dump_json(tower_to_json(tower), path)
 
 
 def load_tower(path) -> Tower:

@@ -20,8 +20,8 @@ since conjugate words close to the same braid.  Otherwise, within one
 call, it fingerprints each closed braid once: expansions that are
 rotations of one cyclically reduced word share a fingerprint, held in a
 memo that dies with the call.  A diagram keeps the walk it makes when
-it is built, so expansion and sampling read it instead of walking
-again; a band's crossing letters join the walk on first expansion.
+it is built; a band's crossing letters join it on first expansion, and
+a template keeps the tables it draws samples from on first sampling.
 The catalog, built once per process by the ``make_*`` constructors
 below, covers destabilization, the exchange move in weight one and
 weighted form, the three strand flype, microflypes, a four block
@@ -47,7 +47,9 @@ from pathlib import Path
 
 from .invariants import _closed_fingerprint
 from .moves import Conjugate, Destabilize, Stabilize, Tower, extend
-from .words import BraidWord, _derived, _int_field, cyclic_key, inverse
+from .words import (
+    BraidWord, _derived, _dump_json, _int_field, cyclic_key, inverse
+)
 
 __all__ = [
     "CoverageError",
@@ -270,6 +272,20 @@ class Template:
     def blocks(self) -> dict[str, int]:
         return self.plus.blocks
 
+    @cached_property
+    def _sampler(self):
+        # per block, by id: span, letters and the entering cable weights
+        # a drawn word must restore; like a diagram's _walked, not a field
+        entering: dict[str, set[tuple[int, ...]]] = {}
+        for diagram in (self.plus, self.minus):
+            for entry, covered, _ in diagram._steps:
+                # a word cannot reorder cables that all weigh the same
+                if isinstance(entry, BlockRef) and len(set(covered)) > 1:
+                    entering.setdefault(entry.id, set()).add(covered)
+        blocks = sorted(self.blocks.items())
+        choices = {s: tuple(g for g in range(1 - s, s) if g) for _, s in blocks}
+        return tuple((b, s, choices[s], entering.get(b, ())) for b, s in blocks)
+
     @property
     def delta_b(self) -> int:
         """Braid index drop from the plus side to the minus side."""
@@ -355,24 +371,15 @@ def sample_assignment(
     weight order are redrawn.
     """
 
-    # the entering cable weights of each block on either side; a word
-    # cannot reorder cables that all weigh the same
-    entering: dict[str, set[tuple[int, ...]]] = {}
-    for diagram in (t.plus, t.minus):
-        for entry, covered, _ in diagram._steps:
-            if isinstance(entry, BlockRef) and len(set(covered)) > 1:
-                entering.setdefault(entry.id, set()).add(covered)
     asg: Assignment = {}
-    for name, span in sorted(t.blocks.items()):
-        choices = [g for g in range(-(span - 1), span) if g != 0]
+    for name, span, choices, entering in t._sampler:
         while True:
             length = rng.randint(0, max_len)
             # one cable has no letters: its only word is the empty word
-            letters = tuple(
-                rng.choice(choices) for _ in range(length if choices else 0)
-            )
-            if all(_leaving(v, letters) == v for v in entering.get(name, ())):
-                asg[name] = BraidWord(span, letters)
+            draws = [choices] * length if choices else ()
+            letters = tuple(map(rng.choice, draws))
+            if all(_leaving(v, letters) == v for v in entering):
+                asg[name] = _derived(span, letters)
                 break
     return asg
 
@@ -742,9 +749,7 @@ def template_from_json(data: dict) -> Template:
 
 
 def dump_template(t: Template, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(template_to_json(t), fh, indent=2)
-        fh.write("\n")
+    _dump_json(template_to_json(t), path)
 
 
 def load_template(path) -> Template:

@@ -10,8 +10,10 @@ the letters, so ``2: 1`` and ``3: 1`` are different words.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 __all__ = [
     "BraidWord",
@@ -112,7 +114,7 @@ def parse_word(text: str) -> BraidWord:
             letters.append(g)
             continue
         raise WordFormatError(message, *_position(text, match.start()))
-    return BraidWord(index, letters)
+    return _derived(index, tuple(letters))
 
 
 def _int_field(value, name: str, unit: bool = False) -> int:
@@ -123,6 +125,36 @@ def _int_field(value, name: str, unit: bool = False) -> int:
     if unit and value not in (1, -1):
         raise ValueError(f"{name} must be +1 or -1, got {value!r}")
     return value
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    # the text of json.dumps(value, indent=2) with C-encoded strings; as
+    # those escape every newline, pad indents what json.dumps writes
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    inner = pad + "  "
+    if kind is dict and value and all(type(k) is str for k in value):
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if (kind is list or kind is tuple) and value:
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    # floats, empty containers and any other type
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
+def _dump_json(doc, path) -> None:
+    # the file json.dump(doc, fh, indent=2) and a newline write, in one write
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_json_text(doc) + "\n")
 
 
 def format_word(w: BraidWord) -> str:
@@ -272,18 +304,21 @@ def cyclic_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     """A key shared by rotations of the freely reduced cyclic word.
 
     The key is the strand count and the lexicographically least
-    rotation of the cyclically reduced letters.  Words with one key are
-    conjugate, so their closures are the same closed braid.
+    rotation of the cyclically reduced letters, which starts at their
+    least letter.  Words with one key are conjugate, so their closures
+    are the same closed braid.
     """
     letters = cyclic_reduce(w).letters
     if not letters:
         return (w.index, ())
-    # fixed-width biased big-endian bytes order like the letters and keep
-    # the rotation scan in C at any strand count
-    width = max(map(abs, letters)).bit_length() // 8 + 1
-    bias = 1 << (8 * width - 1)
-    enc = b"".join((g + bias).to_bytes(width, "big") for g in letters)
-    k = min(
-        range(len(letters)), key=lambda k: enc[k * width :] + enc[: k * width]
-    )
+    least = min(letters)
+    k = letters.index(least)
+    if letters.count(least) > 1:
+        # fixed-width biased big-endian bytes order like the letters and
+        # keep the rotation scan in C at any strand count
+        width = max(map(abs, letters)).bit_length() // 8 + 1
+        bias = 1 << (8 * width - 1)
+        enc = b"".join((g + bias).to_bytes(width, "big") for g in letters)
+        starts = [i for i, g in enumerate(letters) if g == least]
+        k = min(starts, key=lambda i: enc[i * width :] + enc[: i * width])
     return (w.index, letters[k:] + letters[:k])

@@ -10,6 +10,10 @@ expansion only when every weight is 1.
 ``verify_template`` is the sample loop as it was before its per-call
 fingerprint memo: it fingerprints every expansion from scratch.
 
+``per_call_sample_assignment`` is the sampler as it was before each
+template kept its sampler tables: it reads both diagrams' stored walks,
+sorts the blocks and lists their letters again on every call.
+
 All are kept unchanged for differential tests of
 :mod:`braidcalc.templates`.
 """
@@ -33,6 +37,7 @@ from braidcalc.templates import (
     VerifyReport,
     VerifySample,
     WeightFlowError,
+    _leaving,
     band_expand,
 )
 from braidcalc.words import BraidWord, concat, inverse
@@ -139,6 +144,38 @@ def sample_assignment(
                 _preserves_vector(letters, vec)
                 for vec in constraints.get(name, [])
             ):
+                asg[name] = BraidWord(span, letters)
+                break
+    return asg
+
+
+def per_call_sample_assignment(
+    t: Template, rng: random.Random, max_len: int = 6
+) -> Assignment:
+    """Draw one random assignment compatible with both diagrams.
+
+    Words are uniform over letters of the block's index, with length
+    from 0 to ``max_len``; words that would break a block's cable
+    weight order are redrawn.
+    """
+
+    # the entering cable weights of each block on either side; a word
+    # cannot reorder cables that all weigh the same
+    entering: dict[str, set[tuple[int, ...]]] = {}
+    for diagram in (t.plus, t.minus):
+        for entry, covered, _ in diagram._steps:
+            if isinstance(entry, BlockRef) and len(set(covered)) > 1:
+                entering.setdefault(entry.id, set()).add(covered)
+    asg: Assignment = {}
+    for name, span in sorted(t.blocks.items()):
+        choices = [g for g in range(-(span - 1), span) if g != 0]
+        while True:
+            length = rng.randint(0, max_len)
+            # one cable has no letters: its only word is the empty word
+            letters = tuple(
+                rng.choice(choices) for _ in range(length if choices else 0)
+            )
+            if all(_leaving(v, letters) == v for v in entering.get(name, ())):
                 asg[name] = BraidWord(span, letters)
                 break
     return asg

@@ -1,15 +1,20 @@
-"""The word-text reader as it was before ``parse_word`` matched tokens
-with regular expressions.
+"""Word code as it was before later rewrites, kept as references.
 
-Kept unchanged as a reference for differential tests of
-:func:`braidcalc.words.parse_word`: ``_tokens`` walks the text one
-character at a time, ``_int_token`` tests the digits by hand, and
-``_position`` skips whitespace again to find a token's column.
+The word-text reader as it was before ``parse_word`` matched tokens
+with regular expressions: ``_tokens`` walks the text one character at a
+time, ``_int_token`` tests the digits by hand, and ``_position`` skips
+whitespace again to find a token's column.
+
+``cyclic_key`` as it was before it compared only the rotations that
+start at the least letter: it scans every rotation's bytes.
+
+Both are kept unchanged for differential tests of
+:mod:`braidcalc.words`.
 """
 
 from __future__ import annotations
 
-from braidcalc.words import BraidWord, WordFormatError
+from braidcalc.words import BraidWord, WordFormatError, cyclic_reduce
 
 
 def parse_word(text: str) -> BraidWord:
@@ -76,3 +81,24 @@ def _position(text: str, token: str, start: int) -> tuple[int, int]:
     line = text.count("\n", 0, start) + 1
     last_break = text.rfind("\n", 0, start)
     return line, start - last_break
+
+
+def cyclic_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
+    """A key shared by rotations of the freely reduced cyclic word.
+
+    The key is the strand count and the lexicographically least
+    rotation of the cyclically reduced letters.  Words with one key are
+    conjugate, so their closures are the same closed braid.
+    """
+    letters = cyclic_reduce(w).letters
+    if not letters:
+        return (w.index, ())
+    # fixed-width biased big-endian bytes order like the letters and keep
+    # the rotation scan in C at any strand count
+    width = max(map(abs, letters)).bit_length() // 8 + 1
+    bias = 1 << (8 * width - 1)
+    enc = b"".join((g + bias).to_bytes(width, "big") for g in letters)
+    k = min(
+        range(len(letters)), key=lambda k: enc[k * width :] + enc[: k * width]
+    )
+    return (w.index, letters[k:] + letters[:k])

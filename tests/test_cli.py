@@ -2,14 +2,17 @@
 
 import argparse
 import hashlib
+import io
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
+from braidcalc import cli, words
 from braidcalc.cli import _build_parser, main
-from braidcalc.moves import load_tower, replay
+from braidcalc.moves import dump_tower, load_tower, replay, tower_to_json
 from braidcalc.templates import (
     TEMPLATE_DIR_ENV,
     dump_template,
@@ -177,6 +180,50 @@ def test_replay_and_reduce_tower(tmp_path, capsys):
     assert out.startswith("replay ok")
     code, _, err = run(capsys, "replay", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_tower_and_template_files_take_one_document_and_one_write(
+    tmp_path, capsys, monkeypatch
+):
+    built, writes = [], []
+
+    def counted_tower_to_json(tower):
+        built.append(tower)
+        return tower_to_json(tower)
+
+    class CountedFile(io.StringIO):
+        def __init__(self, path):
+            super().__init__()
+            self.path = Path(path)
+
+        def write(self, text):
+            writes.append(self.path)
+            return super().write(text)
+
+        def close(self):
+            self.path.write_text(self.getvalue(), encoding="utf-8")
+            super().close()
+
+    monkeypatch.setattr(cli, "tower_to_json", counted_tower_to_json)
+    monkeypatch.setattr(
+        words, "open", lambda path, *_, **__: CountedFile(path), raising=False
+    )
+    out_path = tmp_path / "tower.json"
+    code, out, _ = run(
+        capsys, "reduce", "3: 1 -2", "--out", str(out_path), "--format", "json"
+    )
+    assert code == 0 and len(built) == 1 and writes == [out_path]
+    doc = json.loads(out)["tower"]
+    assert out_path.read_text() == json.dumps(doc, indent=2) + "\n"
+    # the module writers give the bytes json.dump gave, in one write each
+    for dump, value, doc in (
+        (dump_tower, built[0], tower_to_json(built[0])),
+        (dump_template, make_cyclic(4), template_to_json(make_cyclic(4))),
+    ):
+        writes.clear()
+        dump(value, out_path)
+        assert writes == [out_path]
+        assert out_path.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_reduce_inline_tower(capsys):

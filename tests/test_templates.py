@@ -474,6 +474,31 @@ def test_sampling_matches_the_oracle():
                 )
 
 
+def test_sampler_tables_match_the_per_call_oracle():
+    # same assignments from the same rng calls, in the same order
+    for t in builtin_templates():
+        for seed in range(5):
+            for max_len in (0, 3, 6):
+                mine, theirs = random.Random(seed), random.Random(seed)
+                for _ in range(10):
+                    assert sample_assignment(t, mine, max_len) == (
+                        oracle.per_call_sample_assignment(t, theirs, max_len)
+                    )
+                assert mine.getstate() == theirs.getstate()
+
+
+def test_sampler_tables_are_built_once_and_not_part_of_the_value():
+    t = make_exchange(2)
+    assert "_sampler" not in vars(t)
+    sample_assignment(t, random.Random(0))
+    table = vars(t)["_sampler"]
+    sample_assignment(t, random.Random(1))
+    assert vars(t)["_sampler"] is table
+    twin = make_exchange(2)
+    assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+    assert template_to_json(twin) == template_to_json(t)
+
+
 def test_towers_match_the_oracle():
     cyclic, gflype = make_cyclic(4), make_gflype6()
     for seed in range(200):

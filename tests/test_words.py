@@ -1,7 +1,9 @@
 """Word layer: parsing, free reduction, permutations, closures."""
 
+import json
 import random
 import sys
+import time
 
 import _words_oracle as oracle
 import pytest
@@ -18,6 +20,7 @@ from braidcalc.words import (
     concat,
     conjugate,
     cycle_type,
+    cyclic_key,
     cyclic_reduce,
     exponent_sum,
     format_word,
@@ -236,12 +239,19 @@ def _validated(w):
 @given(braid_words(), st.integers(-20, 20), st.integers(0, 2**32))
 def test_derived_words_equal_validated_words(w, k, seed):
     # these build their result without re-checking its letters
-    for f in (free_reduce, inverse, cyclic_reduce, lambda w: rotate(w, k)):
+    for f in (
+        free_reduce,
+        inverse,
+        cyclic_reduce,
+        lambda w: rotate(w, k),
+        lambda w: parse_word(format_word(w)),
+    ):
         _validated(f(w))
     rng = random.Random(seed)
     t = rng.choice(catalog())
-    for side in (t.plus, t.minus):
-        _validated(expand(side, sample_assignment(t, rng, 6)))
+    asg = sample_assignment(t, rng, 6)
+    for word in [*asg.values(), expand(t.plus, asg), expand(t.minus, asg)]:
+        _validated(word)
 
 
 def test_outside_letters_still_validate():
@@ -251,3 +261,62 @@ def test_outside_letters_still_validate():
         parse_word("3: 3")
     with pytest.raises(ValueError, match="out of range"):
         move_from_json({"kind": "conjugate", "by": "3: 3"})
+
+
+@st.composite
+def tied_words(draw):
+    # words over one to three letters, so that many rotations start at
+    # the least letter and the key must break ties
+    n = draw(st.integers(1, 12))
+    if n == 1:
+        return BraidWord(1, ())
+    every = [g for g in range(1 - n, n) if g]
+    alphabet = draw(st.lists(st.sampled_from(every), min_size=1, max_size=3))
+    return BraidWord(n, draw(st.lists(st.sampled_from(alphabet), max_size=80)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(tied_words(), braid_words(12, 80)))
+def test_cyclic_key_matches_the_oracle(w):
+    assert cyclic_key(w) == oracle.cyclic_key(w)
+
+
+def test_cyclic_key_breaks_long_ties_in_linear_time():
+    # every rotation of 1^20000 starts at the least letter
+    w = BraidWord(2, (1,) * 20000)
+    start = time.perf_counter()
+    assert cyclic_key(w) == (2, w.letters)
+    assert time.perf_counter() - start < 0.5
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.sampled_from(["", "\n", "\"\\", "\u00e9\u2603\U0001f600", "\x00\x1f"])
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert words._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_matches_json_dumps_deep_down():
+    value = 1.5
+    for depth in range(60):
+        value = [value, (), {}] if depth % 2 else {"k\u00e9": value, "": None}
+    assert words._json_text(value) == json.dumps(value, indent=2)
+    # types the writer does not know go to json.dumps, indented in place
+    odd = {"a": [{1: True, None: 2.5}, float("inf")], "b": {"c": -0.0}}
+    assert words._json_text(odd) == json.dumps(odd, indent=2)
