@@ -134,21 +134,12 @@ def _cmd_conj(args) -> int:
     return 0
 
 
-def _nf_text(nf) -> str:
-    parts = [f"D^{nf.power}"]
-    for factor in nf.factors:
-        parts.append(" ".join(str(g) for g in factor_word(factor)))
-    return f"{nf.index}: " + " | ".join(parts)
-
-
 def _cmd_nf(args) -> int:
     nf = normal_form(_word(args.word))
-    payload = {
-        "index": nf.index,
-        "power": nf.power,
-        "factors": [list(factor_word(f)) for f in nf.factors],
-    }
-    _emit(args, payload, _nf_text(nf))
+    spelled = [list(factor_word(f)) for f in nf.factors]
+    text = " | ".join([f"D^{nf.power}", *(" ".join(map(str, g)) for g in spelled)])
+    payload = {"index": nf.index, "power": nf.power, "factors": spelled}
+    _emit(args, payload, f"{nf.index}: {text}")
     return 0
 
 

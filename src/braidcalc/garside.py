@@ -12,19 +12,23 @@ dies with the call.  A left-weighting step re-tests only the bits next
 to each generator it moves and takes its results from the table's
 descent memo, so the two memos share their tuples.
 
-The normal form takes one pass over the freely reduced word.  A
-negative letter is ``D^-1 (D sigma_g^-1)``; moving every ``D^-1`` to
-the front flips each earlier factor by ``tau``, conjugation by ``D``,
-so a factor is flipped when an odd number of negative letters follow
-it.  One loop left-weights every product of simples, a word's and a
-conjugation's alike: each is appended and a right-to-left pass stops
-at the first pair already left weighted (Epstein et al., *Word
-Processing in Groups*, 1992, ch. 9; Elrifai and Morton, Quart. J.
-Math. 45, 1994) or at a ``D``.  That ``D`` goes to a count at the right
-end, as ``D Y = tau(Y) D``, and the pass ends: carried to the front,
-the ``D`` would leave the pairs behind it left weighted.  ``tau`` moves
-a descent at ``i`` to ``n - i``, so each factor behind that ``D`` keeps
-its descent masks, mirrored.
+The normal form takes one pass over the freely reduced word, cut into
+runs: maximal stretches of same-sign letters whose permutation grows
+with every letter.  A positive run is its permutation braid ``R``; a
+negative run is ``Q^-1 = D^-1 (D Q^-1)`` for the permutation braid
+``Q`` of its letters reversed, and ``Q^-1`` has permutation ``R``.
+Moving every ``D^-1`` to the front flips each earlier simple by
+``tau``, conjugation by ``D``, so a run's simple is flipped when an
+odd number of negative runs follow it.  One loop left-weights every
+product of simples, a word's and a conjugation's alike: each is
+appended and a right-to-left pass stops at the first pair already
+left weighted (Epstein et al., *Word Processing in Groups*, 1992,
+ch. 9; Elrifai and Morton, Quart. J. Math. 45, 1994) or at a ``D``.
+That ``D`` goes to a count at the right end, as ``D Y = tau(Y) D``,
+and the pass ends: carried to the front, the ``D`` would leave the
+pairs behind it left weighted.  ``tau`` moves a descent at ``i`` to
+``n - i``, so each factor behind that ``D`` keeps its descent masks,
+mirrored.
 Equality first compares the images in ``Z`` (exponent sum) and ``S_n``
 (permutation): only words with equal images are normalized.
 
@@ -95,7 +99,11 @@ def _inv(p: Perm) -> Perm:
 
 def _descents(p: Perm) -> int:
     # bit i: sigma_i right-divides p (of the inverse: left-divides p)
-    return sum(1 << i for i in range(1, len(p)) if p[i - 1] > p[i])
+    mask = 0
+    for i in range(1, len(p)):
+        if p[i - 1] > p[i]:
+            mask |= 1 << i
+    return mask
 
 
 def factor_word(p: Perm) -> tuple[int, ...]:
@@ -160,28 +168,44 @@ class _Table:
 def normal_form(w: BraidWord, table: _Table | None = None) -> NormalForm:
     """Compute the left normal form of a braid word.
 
-    The word is freely reduced; the power is minus its number of negative
-    letters, a letter's factor is flipped when an odd number of negative
-    letters follow it, and the factors go to ``_product``.  ``table`` is
-    the memo of the calling Garside function, if any.
+    The word is freely reduced and cut into runs; the power is minus
+    the number of negative runs, and the simple of each run goes to
+    ``_product``.  ``table`` is the memo of the calling Garside
+    function, if any.
     """
     w = free_reduce(w)
     n = w.index
     w0 = _half_twist(n)
-    negatives = sum(g < 0 for g in w.letters)
-    made: dict[tuple[int, int], Perm] = {}  # (letter, parity): its simple
+    negatives = 0
 
     def simples():
-        after = negatives
-        for g in w.letters:
-            after -= g < 0
-            key = g, after % 2
-            if key not in made:
-                f = _tau(n - abs(g) if after % 2 else abs(g), n)
-                made[key] = _mul(w0, f) if g < 0 else f
-            yield made[key]
+        # each simple is flipped by the negative runs up to it, and the
+        # form by all of them: as tau^2 = 1, the same as by those after
+        nonlocal negatives
+        for negative, run in _runs(w.letters, n):
+            negatives += negative
+            f = _mul(w0, run) if negative else tuple(run)
+            yield _flip(f) if negatives % 2 else f
 
-    return _product(n, -negatives, simples(), table or _Table())
+    nf = _product(n, 0, simples(), table or _Table())
+    factors = tuple(map(_flip, nf.factors)) if negatives % 2 else nf.factors
+    return NormalForm(n, nf.power - negatives, factors)
+
+
+def _runs(letters, n: int):
+    # the sign and permutation of each maximal run of same-sign letters
+    # whose length grows with every letter; sigma_i^-1 grows the run's
+    # inverse exactly when sigma_i grows the run, so one test serves both
+    identity, run, negative = list(range(1, n + 1)), [], None
+    for g in letters:
+        i = abs(g)
+        if negative != (g < 0) or run[i - 1] > run[i]:
+            if run:
+                yield negative, run
+            run, negative = identity.copy(), g < 0
+        run[i - 1], run[i] = run[i], run[i - 1]
+    if run:
+        yield negative, run
 
 
 def _product(n: int, q: int, simples, table: _Table) -> NormalForm:
@@ -300,8 +324,8 @@ class ConjugacyReport:
 def _flip(p: Perm) -> Perm:
     # tau, conjugation by D: strand i becomes strand n + 1 - i; tau^2 = 1,
     # so callers flip only at an odd power
-    n = len(p)
-    return tuple(n + 1 - p[n - 1 - i] for i in range(n))
+    m = len(p) + 1
+    return tuple([m - v for v in reversed(p)])
 
 
 def _conj(x: NormalForm, s: Perm, table: _Table) -> NormalForm:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import _garside_oracle as oracle
 import pytest
@@ -228,6 +229,21 @@ def test_normal_form_is_fast_at_large_strand_counts():
     elapsed = time.perf_counter() - start
     assert nf.is_identity()
     assert elapsed < 3.0, f"{elapsed:.2f} s"
+
+
+def test_a_long_positive_run_is_one_simple():
+    # sigma_1 ... sigma_599 grows with every letter, so it goes to the
+    # left-weighting loop as one simple, not as 599 of them; fed letter
+    # by letter, it peaks at 12.2 MiB traced
+    w = parse_word("600: " + " ".join(map(str, range(1, 600))))
+    tracemalloc.start()
+    try:
+        nf = normal_form(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nf == garside.NormalForm(600, 0, (permutation(w),))
+    assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_normal_form_is_linear_in_word_length():
@@ -479,6 +495,9 @@ def test_flip_entry_mirrors_the_masks():
         for f in itertools.permutations(range(1, n + 1)):
             flipped = garside._entry(garside._flip(f))
             assert garside._flip_entry(garside._entry(f)) == flipped, f
+            # and both helpers against their definitions
+            assert flipped[0] == oracle._flip(f), f
+            assert garside._descents(f) == sum(1 << i for i in oracle._finishing(f))
 
 
 def test_long_words_match_the_bubbling_pass():
@@ -493,6 +512,48 @@ def test_long_words_match_the_bubbling_pass():
         table = garside._Table()
         assert garside._product(n, q, iter(simples), table) == expected, n
         assert normal_form(w) == expected, n
+
+
+@st.composite
+def run_words(draw, max_chunks):
+    # words made of sign runs: long ascending, descending and half-twist
+    # runs of one sign, and runs cut by a repeat such as i i, -i -i or i j i
+    n = draw(st.integers(1, 8))
+    out: list[int] = []
+    for _ in range(draw(st.integers(0, max_chunks)) if n > 1 else 0):
+        sign = draw(st.sampled_from((1, -1)))
+        i = draw(st.integers(1, n - 1))
+        shape = draw(st.sampled_from(("up", "down", "twist", "i i", "i j i", "any")))
+        if shape == "up":
+            run = range(i, n)
+        elif shape == "down":
+            run = range(i, 0, -1)
+        elif shape == "twist":
+            run = factor_word(garside._half_twist(n))
+        elif shape == "i i":
+            run = (i, i)
+        elif shape == "i j i":
+            j = draw(st.integers(1, n - 1))
+            run = (i, j, i)
+        else:
+            run = draw(st.lists(st.integers(1, n - 1), max_size=8))
+        out.extend(sign * g for g in run)
+    return BraidWord(n, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_words(6))
+def test_run_words_match_the_oracle(w):
+    assert normal_form(w) == oracle.normal_form(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(run_words(40))
+def test_long_run_words_match_the_bubbling_pass(w):
+    # too long for the quadratic oracle: the letter-by-letter feed
+    q = -sum(g < 0 for g in w.letters)
+    expected = oracle.bubbling_product(w.index, q, oracle.letter_simples(w))
+    assert normal_form(w) == expected
 
 
 def test_conjugacy_spells_no_letters(monkeypatch):
