@@ -7,10 +7,6 @@ verify the Euler-characteristic balance identities that every genuine
 tiling satisfies; they are pure arithmetic on the count table, with no
 geometric model behind them, and report exact residuals instead of
 booleans so callers can see how far off an inconsistent table is.
-
-The complexity triple and its lexicographic order live here too: the
-move search elsewhere minimizes a cheap proxy, while this is the exact
-ordering the identities are stated against.
 """
 
 from __future__ import annotations
@@ -18,12 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .words import _int_field
+from .words import _int_field, _list_field
 
 __all__ = [
     "VertexCensus",
     "EdgeCensus",
-    "ComplexityTriple",
     "ConsistencyReport",
     "euler_balance_annulus",
     "euler_balance_surface",
@@ -89,19 +84,6 @@ class EdgeCensus:
     def __post_init__(self):
         if self.ea < 0 or self.eb < 0 or self.es < 0:
             raise ValueError(f"negative edge count: {self}")
-
-
-@dataclass(frozen=True, order=True)
-class ComplexityTriple:
-    """Lexicographically ordered complexity (index first, then finer)."""
-
-    c0: int
-    c1: int
-    c2: int
-
-    def __post_init__(self):
-        if self.c0 < 0 or self.c1 < 0 or self.c2 < 0:
-            raise ValueError(f"negative complexity: {self}")
 
 
 def _excess(a: int, b: int) -> int:
@@ -218,7 +200,7 @@ def census_from_json(data: dict) -> tuple[VertexCensus, EdgeCensus, int | None]:
                 (_int_field(row["a"], "a"), _int_field(row["b"], "b")),
                 _int_field(row["count"], "count"),
             )
-            for row in data.get("V", [])
+            for row in _list_field(data.get("V", []), "V")
         ]
     )
     ec = EdgeCensus(

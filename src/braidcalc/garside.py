@@ -16,19 +16,17 @@ The normal form takes one pass over the freely reduced word, cut into
 runs: maximal stretches of same-sign letters whose permutation grows
 with every letter.  A positive run is its permutation braid ``R``; a
 negative run is ``Q^-1 = D^-1 (D Q^-1)`` for the permutation braid
-``Q`` of its letters reversed, and ``Q^-1`` has permutation ``R``.
-Moving every ``D^-1`` to the front flips each earlier simple by
-``tau``, conjugation by ``D``, so a run's simple is flipped when an
-odd number of negative runs follow it.  One loop left-weights every
-product of simples, a word's and a conjugation's alike: each is
-appended and a right-to-left pass stops at the first pair already
-left weighted (Epstein et al., *Word Processing in Groups*, 1992,
-ch. 9; Elrifai and Morton, Quart. J. Math. 45, 1994) or at a ``D``.
-That ``D`` goes to a count at the right end, as ``D Y = tau(Y) D``,
-and the pass ends: carried to the front, the ``D`` would leave the
-pairs behind it left weighted.  ``tau`` moves a descent at ``i`` to
-``n - i``, so each factor behind that ``D`` keeps its descent masks,
-mirrored.
+``Q`` of its letters reversed, and ``Q^-1`` has permutation ``R``, so
+it enters as a ``D^-1`` item followed by the simple ``D Q^-1``.  One
+loop left-weights every product of simples, a word's and a
+conjugation's alike: each is appended and a right-to-left pass stops
+at the first pair already left weighted (Epstein et al., *Word
+Processing in Groups*, 1992, ch. 9; Elrifai and Morton, Quart. J.
+Math. 45, 1994) or at a ``D``.  That ``D`` goes to a count at the
+right end, as ``D Y = tau(Y) D``, and the pass ends: carried to the
+front, the ``D`` would leave the pairs behind it left weighted.  A
+``D^-1`` item lowers the same count, and each later simple enters
+flipped by ``tau`` to the count's parity.
 Equality first compares the images in ``Z`` (exponent sum) and ``S_n``
 (permutation): only words with equal images are normalized.
 
@@ -168,28 +166,24 @@ class _Table:
 def normal_form(w: BraidWord, table: _Table | None = None) -> NormalForm:
     """Compute the left normal form of a braid word.
 
-    The word is freely reduced and cut into runs; the power is minus
-    the number of negative runs, and the simple of each run goes to
-    ``_product``.  ``table`` is the memo of the calling Garside
-    function, if any.
+    The word is freely reduced and cut into runs.  A positive run goes
+    to ``_product`` as its simple, a negative run as a ``None`` item,
+    read as ``D^-1``, and then ``D`` times the run.  ``table`` is the
+    memo of the calling Garside function, if any.
     """
     w = free_reduce(w)
     n = w.index
     w0 = _half_twist(n)
-    negatives = 0
 
     def simples():
-        # each simple is flipped by the negative runs up to it, and the
-        # form by all of them: as tau^2 = 1, the same as by those after
-        nonlocal negatives
         for negative, run in _runs(w.letters, n):
-            negatives += negative
-            f = _mul(w0, run) if negative else tuple(run)
-            yield _flip(f) if negatives % 2 else f
+            if negative:
+                yield None
+                yield _mul(w0, run)
+            else:
+                yield tuple(run)
 
-    nf = _product(n, 0, simples(), table or _Table())
-    factors = tuple(map(_flip, nf.factors)) if negatives % 2 else nf.factors
-    return NormalForm(n, nf.power - negatives, factors)
+    return _product(n, 0, simples(), table or _Table())
 
 
 def _runs(letters, n: int):
@@ -209,12 +203,16 @@ def _runs(letters, n: int):
 
 
 def _product(n: int, q: int, simples, table: _Table) -> NormalForm:
-    # D^q times a product of simples, normalized as D^q F1 ... Fm D^r:
-    # each arrives flipped by tau^r; a D the pass makes moves to the end
+    # D^q times a product of simples and D^-1 items (None), normalized as
+    # D^q F1 ... Fm D^r: each simple arrives flipped by tau^r; a D the
+    # pass makes moves to the end, and a None lowers r
     twist = (1 << n) - 2  # the descents of D
     factors: list[Entry] = []
     r = 0
     for f in simples:
+        if f is None:
+            r -= 1
+            continue
         entry = table.entry(_flip(f) if r % 2 else f)
         if not entry[2]:
             continue  # the identity, as D sigma_1^-1 on two strands
@@ -226,8 +224,7 @@ def _product(n: int, q: int, simples, table: _Table) -> NormalForm:
         while j and factors[j][1] & ~factors[j - 1][2]:
             left, factors[j] = table.weigh(factors[j - 1], factors[j])
             if left[2] == twist:  # F1 ... D Y = F1 ... tau(Y) D
-                # not through the table: from n = 8 on, these re-flips fill it
-                factors[j - 1 :] = [_flip_entry(e) for e in factors[j:]]
+                factors[j - 1 :] = [table.entry(_flip(e[0])) for e in factors[j:]]
                 r += 1
                 break
             factors[j - 1] = left
@@ -240,15 +237,6 @@ def _product(n: int, q: int, simples, table: _Table) -> NormalForm:
 
 def _entry(f: Perm) -> Entry:
     return f, _descents(_inv(f)), _descents(f)
-
-
-def _flip_entry(entry: Entry) -> Entry:
-    # tau moves a descent at i to n - i, so both masks mirror; the bit
-    # above them keeps bin() from dropping their high zeros
-    f, start, fin = entry
-    top = 1 << len(f) + 1
-    start, fin = int(bin(start | top)[:2:-1], 2), int(bin(fin | top)[:2:-1], 2)
-    return _flip(f), start, fin
 
 
 def _weigh(left: Entry, right: Entry, entry) -> tuple[Entry, Entry]:

@@ -38,6 +38,7 @@ from .words import (
     BraidWord,
     _dump_json,
     _int_field,
+    _list_field,
     conjugate,
     cyclic_key,
     format_word,
@@ -392,7 +393,7 @@ def tower_from_json(data: dict) -> Tower:
     initial = parse_word(data["initial"])
     steps = tuple(
         TowerStep(move_from_json(s["move"]), parse_word(s["result"]))
-        for s in data["steps"]
+        for s in _list_field(data["steps"], "steps")
     )
     return Tower(initial, steps)
 

@@ -48,7 +48,7 @@ from pathlib import Path
 from .invariants import _closed_fingerprint
 from .moves import Conjugate, Destabilize, Stabilize, Tower, extend
 from .words import (
-    BraidWord, _derived, _dump_json, _int_field, cyclic_key, inverse
+    BraidWord, _derived, _dump_json, _int_field, _list_field, cyclic_key, inverse
 )
 
 __all__ = [
@@ -723,8 +723,10 @@ def diagram_from_json(data: dict) -> BlockStrandDiagram:
         raise ValueError(f"post_destabilization must be a bool, got {post!r}")
     return BlockStrandDiagram(
         _int_field(data["n"], "n"),
-        tuple(_int_field(w, "weight") for w in data["weights"]),
-        tuple(_entry_from_json(e) for e in data["entries"]),
+        tuple(
+            _int_field(w, "weight") for w in _list_field(data["weights"], "weights")
+        ),
+        tuple(_entry_from_json(e) for e in _list_field(data["entries"], "entries")),
         post,
     )
 

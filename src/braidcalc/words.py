@@ -127,6 +127,13 @@ def _int_field(value, name: str, unit: bool = False) -> int:
     return value
 
 
+def _list_field(value, name: str) -> list:
+    # the one reader of arrays in JSON documents: an object is no list
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _json_text(value, pad: str = "\n") -> str:
     # the text of json.dumps(value, indent=2) with C-encoded strings; as
     # those escape every newline, pad indents what json.dumps writes

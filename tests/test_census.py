@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcalc.census import (
-    ComplexityTriple,
     EdgeCensus,
     VertexCensus,
     census_from_json,
@@ -78,16 +77,6 @@ def test_edge_vertex_consistency():
     assert not report.ok
 
 
-def test_compare_complexity():
-    # the dataclass ordering is lexicographic: index first, then finer
-    assert ComplexityTriple(3, 0, 5) < ComplexityTriple(3, 1, 0)
-    assert ComplexityTriple(4, 0, 0) > ComplexityTriple(3, 9, 9)
-    assert ComplexityTriple(2, 2, 2) == ComplexityTriple(2, 2, 2)
-    assert ComplexityTriple(1, 0, 0) < ComplexityTriple(1, 0, 1)
-    with pytest.raises(ValueError):
-        ComplexityTriple(-1, 0, 0)
-
-
 def test_minimal_complexity_advisory():
     assert minimal_complexity_advisory(vc((1, 2, 4))) == ()
     notes = minimal_complexity_advisory(vc((1, 0, 1)))
@@ -140,16 +129,3 @@ def test_annulus_residual_matches_direct_sum(entries, es):
         if coeff > 0:
             rhs += coeff * count
     assert euler_balance_annulus(census, es) == lhs - rhs
-
-
-@settings(max_examples=60, deadline=None)
-@given(entry_lists(), entry_lists())
-def test_compare_complexity_total_order(xs, ys):
-    a = ComplexityTriple(len(xs), sum(e[2] for e in xs), 0)
-    b = ComplexityTriple(len(ys), sum(e[2] for e in ys), 0)
-    # exactly one of <, ==, > holds
-    assert (a < b) + (a == b) + (a > b) == 1
-    if (a.c0, a.c1, a.c2) == (b.c0, b.c1, b.c2):
-        assert a == b
-    if a.c0 <= b.c0 and a.c1 <= b.c1 and a.c2 <= b.c2:
-        assert not a > b

@@ -435,6 +435,14 @@ _DOCUMENTS = {
     "{chi-bool}": _edited(_CENSUS, ((), "chi", True)),
     "{no-plus}": {k: v for k, v in _TEMPLATE.items() if k != "plus"},
     "{no-b}": {**_CENSUS, "V": [{"a": 1, "count": 4}]},
+    "{steps-object}": {"initial": "2: 1", "steps": {}},
+    "{entries-object}": {
+        "name": "empty",
+        "plus": {"n": 2, "weights": [1, 1], "entries": {}},
+        "minus": {"n": 2, "weights": [1, 1], "entries": []},
+    },
+    "{diagram-entries-object}": {"n": 2, "weights": [1, 1], "entries": {}},
+    "{v-object}": {"V": {}, "Ea": 0, "Eb": 0, "Es": 0},
     "{two-spans}": {
         "n": 4,
         "weights": [1, 1, 1, 1],
@@ -496,6 +504,10 @@ _DOCUMENTS = {
         ["{bad-catalog}", "verify-template", "cyclic4"],
         ["{bad-catalog}", "certify", "cyclic4", "--min-last-count", "1"],
         ["certify", "{two-spans}", "--min-last-count", "2"],
+        ["replay", "{steps-object}"],
+        ["verify-template", "{entries-object}"],
+        ["certify", "{diagram-entries-object}", "--min-last-count", "0"],
+        ["census", "{v-object}"],
     ],
     ids=[
         "verify-template-dir",
@@ -537,6 +549,10 @@ _DOCUMENTS = {
         "catalog-verify-template",
         "catalog-certify",
         "diagram-two-spans",
+        "tower-steps-object",
+        "template-entries-object",
+        "diagram-entries-object",
+        "census-v-object",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
