@@ -8,9 +8,11 @@ the full half twist.  Permutation braids are stored as their endpoint
 permutations and all factor arithmetic happens on permutations, so any
 strand count works.  Each public call keeps one table of bounded memos
 of the descents, left-weightings and lcms its products share; the table
-dies with the call.  A left-weighting step re-tests only the bits next
-to each generator it moves and takes its results from the table's
-descent memo, so the two memos share their tuples.
+dies with the call.  A memo entry keeps a simple's inverse with its
+descents, so a left-weighting step inverts nothing: it updates both
+permutations of its right simple, re-tests only the bits next to each
+generator it moves and takes its results from the table's descent
+memo, so the two memos share their tuples.
 
 The normal form takes one pass over the freely reduced word, cut into
 runs: maximal stretches of same-sign letters whose permutation grows
@@ -70,7 +72,8 @@ __all__ = [
 DEFAULT_NODE_CAP = 10_000
 
 Perm = tuple[int, ...]
-Entry = tuple[Perm, int, int]  # permutation, left/right-divisor masks
+# permutation, left/right-divisor masks, inverse permutation
+Entry = tuple[Perm, int, int, Perm]
 
 
 def _half_twist(n: int) -> Perm:
@@ -114,15 +117,21 @@ def factor_word(p: Perm) -> tuple[int, ...]:
 
     arr = list(p)
     record: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(arr) - 1):
+    lo, hi = 0, len(arr) - 1
+    while True:
+        # the next pass can swap only from one place before this pass's
+        # first swap up to its last one, so it compares only there
+        first = None
+        for i in range(lo, hi):
             if arr[i] > arr[i + 1]:
                 arr[i], arr[i + 1] = arr[i + 1], arr[i]
                 record.append(i + 1)
-                changed = True
-    return tuple(reversed(record))
+                if first is None:
+                    first = i
+                last = i
+        if first is None:
+            return tuple(reversed(record))
+        lo, hi = max(first - 1, 0), last
 
 
 @dataclass(frozen=True)
@@ -231,37 +240,44 @@ def _product(n: int, q: int, simples, table: _Table) -> NormalForm:
             j -= 1
         while factors and not factors[-1][2]:
             factors.pop()
-    perms = [f for f, _, _ in factors]
+    perms = [e[0] for e in factors]
     return NormalForm(n, q + r, tuple(map(_flip, perms) if r % 2 else perms))
 
 
 def _entry(f: Perm) -> Entry:
-    return f, _descents(_inv(f)), _descents(f)
+    fi = _inv(f)
+    return f, _descents(fi), _descents(f), fi
 
 
 def _weigh(left: Entry, right: Entry, entry) -> tuple[Entry, Entry]:
     # move generators from the front of right to the back of left until
     # the pair is left weighted.  A move at i swaps two places of x and
-    # of right's inverse: left gains descent i, right loses it, and only
-    # i - 1 and i + 1 need a look.  entry gives the result's masks
-    x, _, fin = left
-    y, start, _ = right
+    # of right's inverse yi, and the values i and i + 1 in y: left gains
+    # descent i, right loses it, and only i - 1 and i + 1 need a look.
+    # entry gives the result's masks and inverse
+    x, _, fin, _ = left
+    y, start, _, yi = right
     n = len(x)
-    x, yi = list(x), list(_inv(y))
+    x, y, yi = list(x), list(y), list(yi)
     pending = start & ~fin
     while pending:
         bit = pending & -pending
         i = bit.bit_length() - 1
         x[i - 1], x[i] = x[i], x[i - 1]
-        yi[i - 1], yi[i] = yi[i], yi[i - 1]
+        p, q = yi[i - 1], yi[i]
+        yi[i - 1], yi[i] = q, p
+        y[p - 1], y[q - 1] = i + 1, i
         fin, start = fin | bit, start & ~bit
-        for k in (i - 1, i + 1):
-            if 0 < k < n:
-                b = 1 << k
-                fin = fin | b if x[k - 1] > x[k] else fin & ~b
-                start = start | b if yi[k - 1] > yi[k] else start & ~b
+        if i > 1:
+            b = bit >> 1
+            fin = fin | b if x[i - 2] > x[i - 1] else fin & ~b
+            start = start | b if yi[i - 2] > yi[i - 1] else start & ~b
+        if i < n - 1:
+            b = bit << 1
+            fin = fin | b if x[i] > x[i + 1] else fin & ~b
+            start = start | b if yi[i] > yi[i + 1] else start & ~b
         pending = start & ~fin
-    return entry(tuple(x)), entry(_inv(yi))
+    return entry(tuple(x)), entry(tuple(y))
 
 
 def normal_form_word(nf: NormalForm) -> BraidWord:

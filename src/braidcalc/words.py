@@ -35,8 +35,10 @@ __all__ = [
 ]
 
 # \s is exactly what str.isspace() accepts, the set str.strip() removes
+# and str.split() splits at
 _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"[+-]?[0-9]+")
+_LETTERS = re.compile(r"[\s0-9+-]*")
 
 
 class WordFormatError(ValueError):
@@ -93,7 +95,7 @@ def parse_word(text: str) -> BraidWord:
     :class:`WordFormatError` pointing at the offending token.
     """
 
-    head, sep, _ = text.partition(":")
+    head, sep, tail = text.partition(":")
     if not sep:
         raise WordFormatError("missing ':' after strand count", 1, 1)
     index = _int_token(head.strip())
@@ -102,6 +104,19 @@ def parse_word(text: str) -> BraidWord:
         raise WordFormatError(
             "strand count must be a positive integer", *_position(text, start)
         )
+    # the letters in one pass: int() refuses a sign inside a token and a
+    # number too long to convert, and the range is checked once
+    if _LETTERS.fullmatch(tail):
+        try:  # a tuple of a list is sized once, one of a map() resized
+            letters = tuple(list(map(int, tail.split())))
+        except ValueError:
+            pass
+        else:
+            if not letters or (
+                max(letters) < index and min(letters) > -index and 0 not in letters
+            ):
+                return _derived(index, letters)
+    # else this loop finds the first bad token and names it
     letters = []
     for match in _TOKEN.finditer(text, len(head) + 1):
         token = match[0]

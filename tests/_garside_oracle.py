@@ -17,6 +17,9 @@ random words, but it needs no flip of the factors behind a ``D``.
 :func:`weigh` is the original left-weighting step, the oracle for
 ``braidcalc.garside._weigh``: it re-tests all three bits around each
 swap and recomputes both result masks from the permutations.
+:func:`factor_word` is the original spelling of a permutation braid,
+the oracle for :func:`braidcalc.garside.factor_word`: it bubble sorts
+with full passes until a pass makes no swap.
 
 :func:`conjugacy_test` is the original super-summit-set walk, the oracle
 for :func:`braidcalc.garside.conjugacy_test`.  It conjugates every node
@@ -45,7 +48,6 @@ from braidcalc.garside import (
     _inv,
     _mul,
     _tau,
-    factor_word,
     normal_form_word,
 )
 from braidcalc.words import (
@@ -125,6 +127,27 @@ def _left_weight(factors: list[Perm], n: int) -> list[Perm]:
         if changed:
             factors = [f for f in factors if f != identity]
     return factors
+
+
+def factor_word(p: Perm) -> tuple[int, ...]:
+    """A positive word for a permutation braid, deterministic per input.
+
+    Bubble sorting the image tuple to the identity records one letter
+    per inversion; the reversed record is a word whose endpoint
+    permutation is ``p``.
+    """
+
+    arr = list(p)
+    record: list[int] = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(arr) - 1):
+            if arr[i] > arr[i + 1]:
+                arr[i], arr[i + 1] = arr[i + 1], arr[i]
+                record.append(i + 1)
+                changed = True
+    return tuple(reversed(record))
 
 
 def letter_simples(w: BraidWord):

@@ -87,6 +87,18 @@ def test_factor_word_is_a_permutation_braid():
     assert factor_word((3, 2, 1)) == (1, 2, 1)
 
 
+def test_factor_word_matches_the_full_passes_on_every_permutation():
+    for n in range(1, 8):
+        for p in itertools.permutations(range(1, n + 1)):
+            assert factor_word(p) == oracle.factor_word(p), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(8, 60).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_factor_word_matches_the_full_passes_on_drawn_permutations(p):
+    assert factor_word(tuple(p)) == oracle.factor_word(tuple(p))
+
+
 def test_delta_conjugation_flips_generators():
     delta = BraidWord(3, (1, 2, 1))
     lhs = free_reduce(concat(delta, BraidWord(3, (1,)), inverse(delta)))
@@ -488,7 +500,8 @@ def _weighs_like_the_oracle(a, b):
     table = garside._Table()
     left, right = garside._entry(a), garside._entry(b)
     got = table.weigh(left, right)
-    assert got == oracle.weigh(left, right), (a, b)
+    assert tuple(e[:3] for e in got) == oracle.weigh(left[:3], right[:3]), (a, b)
+    assert all(e[3] == oracle._inv(e[0]) for e in got), (a, b)
     assert all(table.entry(e[0]) is e for e in got), (a, b)
 
 
@@ -518,6 +531,9 @@ def test_flip_entry_mirrors_the_masks():
             flipped = garside._entry(garside._flip(f))
             # both helpers against their definitions
             assert flipped[0] == oracle._flip(f), f
+            # the stored inverse: the places of 1, 2, ..., n in f
+            inverse = tuple(sorted(range(1, n + 1), key=lambda k: f[k - 1]))
+            assert garside._entry(f)[3] == inverse, f
             assert garside._descents(f) == sum(1 << i for i in oracle._finishing(f))
 
 

@@ -137,13 +137,55 @@ def test_parse_word_matches_the_oracle(text):
     assert _outcome(parse_word, text) == _outcome(oracle.parse_word, text)
 
 
+# tokens that a per-letter reader and a whole-text one might read
+# differently: digits only int() reads, underscores, signed and padded
+# zeros, signs inside a token, a number too long for int(), and letters
+# out of range for every drawn strand count
+_HOSTILE = [
+    "\u0663", "\uff11", "1_0", "0_1", "-0", "+0", "007", "+-1", "1-2", "--1",
+    "1" * 5000, "0", "99",
+]
+# separators str.isspace() accepts, newlines among them
+_SEPARATORS = [" ", "\n", "\t", "\u00a0", "\x1c", "\u2028", " \n  "]
+
+
+@st.composite
+def hostile_texts(draw):
+    # mostly valid letters, so the whole-text read runs, with a few
+    # hostile tokens placed anywhere, often after some newlines
+    n = draw(st.integers(1, 5))
+    if n > 1:
+        letter = st.integers(1 - n, n - 1).filter(bool)
+        signed = st.one_of(letter.map(str), letter.map("{:+d}".format))
+        pieces = draw(st.lists(signed, max_size=30))
+    else:
+        pieces = []
+    hostile = st.sampled_from([*_HOSTILE, str(n), str(-n)])
+    for bad in draw(st.lists(hostile, max_size=2)):
+        pieces.insert(draw(st.integers(0, len(pieces))), bad)
+    size = len(pieces) + 1
+    gaps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=size, max_size=size))
+    return f"{n}:" + "".join(g + p for g, p in zip(gaps, pieces)) + gaps[-1]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(hostile_texts())
+def test_parse_word_matches_the_oracle_on_hostile_tokens(text):
+    assert _outcome(parse_word, text) == _outcome(oracle.parse_word, text)
+
+
 def test_token_pattern_splits_where_isspace_does():
-    # the reader splits with a regular expression and strips the strand
-    # count with str.strip(); both must agree on every code point
+    # the reader splits with regular expressions and str.split() and
+    # strips the strand count with str.strip(); all must agree on every
+    # code point
+    digits = set("0123456789+-")
     disagree = [
         hex(c)
         for c in range(sys.maxunicode + 1)
         if (words._TOKEN.fullmatch(chr(c)) is None) != chr(c).isspace()
+        or (words._LETTERS.fullmatch(chr(c)) is None)
+        != (not chr(c).isspace() and chr(c) not in digits)
+        or len(f"1{chr(c)}1".split()) != 1 + chr(c).isspace()
     ]
     assert disagree == []
 
