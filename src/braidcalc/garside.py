@@ -7,12 +7,13 @@ positive word in which any two strands cross at most once), the pair
 the full half twist.  Permutation braids are stored as their endpoint
 permutations and all factor arithmetic happens on permutations, so any
 strand count works.  Each public call keeps one table of bounded memos
-of the descents, left-weightings and lcms its products share; the table
-dies with the call.  A memo entry keeps a simple's inverse with its
-descents, so a left-weighting step inverts nothing: it updates both
-permutations of its right simple, re-tests only the bits next to each
-generator it moves and takes its results from the table's descent
-memo, so the two memos share their tuples.
+of the descents, left-weightings, lcms, remainder steps and ``tau``
+flips its products share; the table dies with the call.  A memo entry
+keeps a simple's inverse with its descents, so a left-weighting step
+inverts nothing and an lcm inverts only its result.  A left-weighting
+step updates both permutations of its right simple, re-tests only the
+bits next to each generator it moves and takes its results from the
+table's descent memo, so the two memos share their tuples.
 
 The normal form takes one pass over the freely reduced word, cut into
 runs: maximal stretches of same-sign letters whose permutation grows
@@ -38,14 +39,18 @@ minimum, and the set of all conjugates with those extremal values is
 connected under conjugation by its minimal simple elements: for each
 generator, the least permutation braid above it that keeps a conjugate
 in the set (Franco and Gonzalez-Meneses, J. Algebra 266, 2003).  Each
-element has at most ``n - 1`` of them.  Two elements are conjugate
-exactly when their super summit sets coincide.  The search explores
-that set with a node cap and reports an inconclusive verdict if the
-cap is exceeded.  Each conjugation of ``x = D^p F1 ... Fm`` hands that
-loop one positive product of simples and spells no word, ``tau``
-flipping ``sigma_i`` to ``sigma_(n-i)``: ``D^(p-1) tau^(p+1)(s^-1 D)
-F1 ... Fm s`` by a simple ``s``, ``D^p tau^p(F2) ... tau^p(Fm) F1``
-when cycling and ``D^p tau^p(Fm) F1 ... F(m-1)`` when decycling.
+element has at most ``n - 1`` of them, found by iterating one map from
+each generator: a chain that meets a simple an earlier chain visited
+takes that chain's fixpoint, and the map's memoized remainder steps
+stop at the identity remainder, which stays the identity.  Two
+elements are conjugate exactly when their super summit sets coincide.
+The search explores that set with a node cap and reports an
+inconclusive verdict if the cap is exceeded.  Each conjugation of
+``x = D^p F1 ... Fm`` hands that loop one positive product of simples
+and spells no word, ``tau`` flipping ``sigma_i`` to ``sigma_(n-i)``:
+``D^(p-1) tau^(p+1)(s^-1 D) F1 ... Fm s`` by a simple ``s``,
+``D^p tau^p(F2) ... tau^p(Fm) F1`` when cycling and
+``D^p tau^p(Fm) F1 ... F(m-1)`` when decycling.
 """
 
 from __future__ import annotations
@@ -164,12 +169,15 @@ class NormalForm:
 
 class _Table:
     # one per public call: bounded memos of the primitives its products
-    # share; a weigh result is the entry memo's own tuples
+    # share; a weigh result is the entry memo's own tuples, and lcm and
+    # rem read their operands' inverses from the entry memo
     def __init__(self):
-        self.entry = functools.lru_cache(1024)(_entry)
-        weigh = functools.partial(_weigh, entry=self.entry)
-        self.weigh = functools.lru_cache(1024)(weigh)
-        self.lcm = functools.lru_cache(1024)(_lcm)
+        memo = functools.lru_cache(1024)
+        self.entry = entry = memo(_entry)
+        self.weigh = memo(functools.partial(_weigh, entry=entry))
+        self.lcm = lcm = memo(lambda s, t: _inv(_join(entry(s)[3], entry(t)[3])))
+        self.rem = memo(lambda c, f: _mul(entry(f)[3], lcm(c, f)))  # f^-1 (c v f)
+        self.flip = memo(_flip)
 
 
 def normal_form(w: BraidWord, table: _Table | None = None) -> NormalForm:
@@ -222,7 +230,7 @@ def _product(n: int, q: int, simples, table: _Table) -> NormalForm:
         if f is None:
             r -= 1
             continue
-        entry = table.entry(_flip(f) if r % 2 else f)
+        entry = table.entry(table.flip(f) if r % 2 else f)
         if not entry[2]:
             continue  # the identity, as D sigma_1^-1 on two strands
         if entry[2] == twist:  # D; on one strand, the identity above
@@ -233,7 +241,7 @@ def _product(n: int, q: int, simples, table: _Table) -> NormalForm:
         while j and factors[j][1] & ~factors[j - 1][2]:
             left, factors[j] = table.weigh(factors[j - 1], factors[j])
             if left[2] == twist:  # F1 ... D Y = F1 ... tau(Y) D
-                factors[j - 1 :] = [table.entry(_flip(e[0])) for e in factors[j:]]
+                factors[j - 1 :] = [table.entry(table.flip(e[0])) for e in factors[j:]]
                 r += 1
                 break
             factors[j - 1] = left
@@ -241,7 +249,7 @@ def _product(n: int, q: int, simples, table: _Table) -> NormalForm:
         while factors and not factors[-1][2]:
             factors.pop()
     perms = [e[0] for e in factors]
-    return NormalForm(n, q + r, tuple(map(_flip, perms) if r % 2 else perms))
+    return NormalForm(n, q + r, tuple(map(table.flip, perms) if r % 2 else perms))
 
 
 def _entry(f: Perm) -> Entry:
@@ -333,21 +341,22 @@ def _flip(p: Perm) -> Perm:
 
 
 def _conj(x: NormalForm, s: Perm, table: _Table) -> NormalForm:
-    # s^-1 D^p A s = D^(p-1) tau^(p+1)(s^-1 D) A s, all of it positive
-    top = _mul(_inv(s), _half_twist(x.index))
-    top = top if x.power % 2 else _flip(top)
+    # s^-1 D^p A s = D^(p-1) tau^(p+1)(s^-1 D) A s, all of it positive;
+    # the permutation of s^-1 D is that of s^-1 read backwards
+    top = table.entry(s)[3][::-1]
+    top = top if x.power % 2 else table.flip(top)
     return _product(x.index, x.power - 1, (top, *x.factors, s), table)
 
 
 def _cycle(x: NormalForm, table: _Table) -> NormalForm:
     # conjugation by D^p F1
-    rest = tuple(map(_flip, x.factors[1:])) if x.power % 2 else x.factors[1:]
+    rest = tuple(map(table.flip, x.factors[1:])) if x.power % 2 else x.factors[1:]
     return _product(x.index, x.power, (*rest, x.factors[0]), table)
 
 
 def _decycle(x: NormalForm, table: _Table) -> NormalForm:
     # conjugation by the inverse of the last factor
-    last = _flip(x.factors[-1]) if x.power % 2 else x.factors[-1]
+    last = table.flip(x.factors[-1]) if x.power % 2 else x.factors[-1]
     return _product(x.index, x.power, (last, *x.factors[:-1]), table)
 
 
@@ -376,12 +385,17 @@ def _summit_representative(x: NormalForm, table: _Table) -> NormalForm:
 
 
 def _lcm(s: Perm, t: Perm) -> Perm:
-    # s v t for permutation braids.  Call i < j inverted in the inverse
-    # q of a simple when q[i] > q[j], as _descents(_inv(f)) does for
-    # adjacent pairs: s left-divides t exactly when t's inverted pairs
-    # hold s's, and those of s v t are the transitive closure of both
-    n = len(s)
-    qs, qt = _inv(s), _inv(t)
+    # s v t for permutation braids
+    return _inv(_join(_inv(s), _inv(t)))
+
+
+def _join(qs: Perm, qt: Perm) -> Perm:
+    # the inverse of s v t from the inverses qs, qt of s and t.  Call
+    # i < j inverted in the inverse q of a simple when q[i] > q[j], as
+    # _descents(_inv(f)) does for adjacent pairs: s left-divides t
+    # exactly when t's inverted pairs hold s's, and those of s v t are
+    # the transitive closure of both
+    n = len(qs)
     after = [0] * n  # bit j of after[i]: the pair (i, j) is inverted
     for i in range(n - 2, -1, -1):
         for j in range(i + 1, n):
@@ -389,30 +403,30 @@ def _lcm(s: Perm, t: Perm) -> Perm:
                 after[i] |= 1 << j | after[j]
     # q[i] counts the entries it must exceed: inverted ones after it,
     # uninverted ones before it
-    q = [
+    return tuple(
         1 + after[i].bit_count() + sum(not after[j] >> i & 1 for j in range(i))
         for i in range(n)
-    ]
-    return _inv(tuple(q))
+    )
 
 
-def _inverse(x: NormalForm) -> NormalForm:
+def _inverse(x: NormalForm, table: _Table) -> NormalForm:
     # x^-1 = D^(-p-r) y_r ... y_1 with y_i = tau^(p+i)(x_i^-1 D), a
-    # left normal form as it stands
-    n, p = x.index, x.power
-    w0 = _half_twist(n)
-    ys = [_mul(_inv(f), w0) for f in x.factors]
-    ys = [_flip(y) if i % 2 else y for i, y in enumerate(ys, p + 1)]
-    return NormalForm(n, -p - len(ys), tuple(reversed(ys)))
+    # left normal form as it stands; x_i^-1 D is x_i^-1 read backwards
+    p = x.power
+    ys = [table.entry(f)[3][::-1] for f in x.factors]
+    ys = [table.flip(y) if i % 2 else y for i, y in enumerate(ys, p + 1)]
+    return NormalForm(x.index, -p - len(ys), tuple(reversed(ys)))
 
 
-def _phi(s: Perm, power: int, factors, table: _Table) -> Perm:
+def _phi(s: Perm, y: NormalForm, table: _Table, one: Perm) -> Perm:
     # s v c with c the least simple such that tau^q(s) left-divides
-    # y1 ... yr c, for y = D^q y1 ... yr given as q and the pairs
-    # (y_k, y_k^-1); c_k = y_k^-1 (c_(k-1) v y_k)
-    c = _flip(s) if power % 2 else s
-    for f, fi in factors:
-        c = _mul(fi, table.lcm(c, f))
+    # y1 ... yr c, for y = D^q y1 ... yr; c_k = y_k^-1 (c_(k-1) v y_k).
+    # Once c is the identity one it stays so, and s v one = s
+    c = table.flip(s) if y.power % 2 else s
+    for f in y.factors:
+        c = table.rem(c, f)
+        if c == one:
+            return s
     return table.lcm(s, c)
 
 
@@ -421,15 +435,20 @@ def _minimal_simples(x: NormalForm, table: _Table) -> list[Perm]:
     # in the super summit set of x, which holds x.  phi_x(s) = s exactly
     # when conjugating by s keeps the infimum, and phi is monotone with
     # D a fixpoint, so iterating from sigma_i stops at the least one.
-    # Each factor of x and x^-1 is inverted once, not on every step
-    n, xi = x.index, _inverse(x)
-    xs = [(f, _inv(f)) for f in x.factors]
-    xis = [(f, _inv(f)) for f in xi.factors]
-    out: list[Perm] = []
+    # The iterated map is the same for every generator, so each simple
+    # visited keeps the fixpoint its chain reached, for later chains
+    n, xi = x.index, _inverse(x, table)
+    one, reached, out = tuple(range(1, n + 1)), {}, []
     for i in range(1, n):
-        s = _tau(i, n)
-        while (t := _phi(_phi(s, x.power, xs, table), xi.power, xis, table)) != s:
+        s, chain = _tau(i, n), []
+        while s not in reached:
+            t = _phi(_phi(s, x, table, one), xi, table, one)
+            chain.append(s)
+            if t == s:
+                break
             s = t
+        s = reached.get(s, s)
+        reached.update(dict.fromkeys(chain, s))
         if s not in out:
             out.append(s)
     return out

@@ -21,6 +21,13 @@ swap and recomputes both result masks from the permutations.
 the oracle for :func:`braidcalc.garside.factor_word`: it bubble sorts
 with full passes until a pass makes no swap.
 
+:func:`minimal_simples` is the original search for an element's minimal
+simple elements, the oracle for ``braidcalc.garside._minimal_simples``:
+each remainder step of :func:`phi` multiplies by the inverse of its
+factor, with no memo and no stop at the identity remainder, and every
+generator iterates its own chain to the fixpoint.  It inverts ``x``
+with :func:`inverse_normal_form`, which inverts every factor.
+
 :func:`conjugacy_test` is the original super-summit-set walk, the oracle
 for :func:`braidcalc.garside.conjugacy_test`.  It conjugates every node
 by all ``n! - 1`` permutation braids, spelling the half twists out in
@@ -46,6 +53,7 @@ from braidcalc.garside import (
     _descents,
     _half_twist,
     _inv,
+    _lcm,
     _mul,
     _tau,
     normal_form_word,
@@ -202,6 +210,42 @@ def bubbling_product(n: int, q: int, simples) -> NormalForm:
             factors.pop()
     lead = sum(f == w0 for f, _, _ in factors)  # every D comes first
     return NormalForm(n, q + lead, tuple(f for f, _, _ in factors[lead:]))
+
+
+def inverse_normal_form(x: NormalForm) -> NormalForm:
+    """x^-1 = D^(-p-r) y_r ... y_1 with y_i = tau^(p+i)(x_i^-1 D)."""
+    n, p = x.index, x.power
+    w0 = _half_twist(n)
+    ys = [_mul(_inv(f), w0) for f in x.factors]
+    ys = [_flip(y) if i % 2 else y for i, y in enumerate(ys, p + 1)]
+    return NormalForm(n, -p - len(ys), tuple(reversed(ys)))
+
+
+def phi(s: Perm, power: int, factors) -> Perm:
+    """s v c with c the least simple such that tau^q(s) left-divides
+    y1 ... yr c, for y = D^q y1 ... yr given as q and the pairs
+    (y_k, y_k^-1); c_k = y_k^-1 (c_(k-1) v y_k)."""
+    c = _flip(s) if power % 2 else s
+    for f, fi in factors:
+        c = _mul(fi, _lcm(c, f))
+    return _lcm(s, c)
+
+
+def minimal_simples(x: NormalForm) -> list[Perm]:
+    """For each generator, the least simple above it that keeps x^s in
+    the super summit set of x, which holds x; each listed once, in
+    generator order."""
+    n, xi = x.index, inverse_normal_form(x)
+    xs = [(f, _inv(f)) for f in x.factors]
+    xis = [(f, _inv(f)) for f in xi.factors]
+    out: list[Perm] = []
+    for i in range(1, n):
+        s = _tau(i, n)
+        while (t := phi(phi(s, x.power, xs), xi.power, xis)) != s:
+            s = t
+        if s not in out:
+            out.append(s)
+    return out
 
 
 def _conj(x: NormalForm, a: BraidWord) -> NormalForm:

@@ -491,8 +491,37 @@ def test_memo_tables_die_with_their_call():
     # a module-level memo would outlive every call and keep its n-tuples
     memos = [name for name, v in vars(garside).items() if hasattr(v, "cache_info")]
     assert memos == []
-    caches = vars(garside._Table()).values()
-    assert [c.cache_info().maxsize for c in caches] == [1024] * 3
+    caches = vars(garside._Table())
+    assert list(caches) == ["entry", "weigh", "lcm", "rem", "flip"]
+    assert [c.cache_info().maxsize for c in caches.values()] == [1024] * 5
+
+
+def test_memo_counters_of_the_readme_pair(monkeypatch):
+    # the counters are deterministic: work that comes back per node, or
+    # a memo that stops answering, changes them
+    tables = []
+
+    class Recorded(garside._Table):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(garside, "_Table", Recorded)
+    a = BraidWord(3, (1, 1, 1, -2, -2, 1, 1, 1, 1, -2))
+    b = BraidWord(3, (1, 1, 1, -2, 1, 1, 1, 1, -2, -2))
+    assert conjugacy_test(a, b) == ConjugacyReport(Verdict.NOT_CONJUGATE, 20)
+    [table] = tables
+    counters = {
+        name: (memo.cache_info().hits, memo.cache_info().misses)
+        for name, memo in vars(table).items()
+    }
+    assert counters == {
+        "entry": (1624, 6),
+        "weigh": (36, 4),
+        "lcm": (60, 14),
+        "rem": (646, 14),
+        "flip": (1283, 5),
+    }
 
 
 def _weighs_like_the_oracle(a, b):
@@ -523,6 +552,28 @@ def perm_pairs(draw):
 @given(perm_pairs())
 def test_weigh_matches_the_oracle_on_drawn_pairs(pair):
     _weighs_like_the_oracle(*pair)
+
+
+def _rem_matches_the_definition(c, f):
+    # a fresh table per pair, so that no earlier step answers from memo
+    one = tuple(range(1, len(f) + 1))
+    expected = garside._mul(garside._inv(f), garside._lcm(c, f))
+    assert garside._Table().rem(c, f) == expected, (c, f)
+    assert garside._Table().lcm(c, f) == garside._lcm(c, f), (c, f)
+    assert garside._Table().rem(one, f) == one, f
+
+
+def test_remainder_step_on_every_pair():
+    for n in range(1, 5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for c, f in itertools.product(perms, repeat=2):
+            _rem_matches_the_definition(c, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perm_pairs())
+def test_remainder_step_on_drawn_pairs(pair):
+    _rem_matches_the_definition(*pair)
 
 
 def test_flip_entry_mirrors_the_masks():
@@ -615,7 +666,8 @@ def test_conjugacy_spells_no_letters(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(words(max_index=6, max_len=20))
 def test_inverse_normal_form_from_the_factors(w):
-    assert garside._inverse(normal_form(w)) == normal_form(inverse(w))
+    x = normal_form(w)
+    assert garside._inverse(x, garside._Table()) == normal_form(inverse(w))
 
 
 def test_minimal_simples_match_brute_force():
@@ -656,3 +708,66 @@ def test_five_strand_summit_set_walk_is_fast():
     elapsed = time.perf_counter() - start
     assert rep == ConjugacyReport(Verdict.NOT_CONJUGATE, 388)
     assert elapsed < 10.0, f"{elapsed:.2f} s"
+
+
+def _minimal_simples_match_the_oracle(x, table):
+    got = garside._minimal_simples(x, table)
+    assert got == oracle.minimal_simples(x), x
+
+
+def test_minimal_simples_match_the_oracle_on_summit_representatives():
+    # the memoized walk with its identity cut and shared chains against
+    # the per-factor products of the old one, list and order alike
+    rng = random.Random("minimal-simples-oracle")
+    drawn = [random_word(rng, n, rng.randint(1, 14)) for n in (3, 4, 5, 6) * 40]
+    for w in drawn + CHAINS_MEET:
+        table = garside._Table()
+        x = garside._summit_representative(normal_form(w, table), table)
+        _minimal_simples_match_the_oracle(x, table)
+
+
+# on these two a chain meets a simple that an earlier chain passed on
+# its way to its fixpoint
+CHAINS_MEET = [
+    BraidWord(5, (-4, -1, 4, -3, -4, -1, -2, 1, -3, -1, -1, 4, 3, -2)),
+    BraidWord(6, (4, 3, -4, 1, 5, -1, 4, 5, 1, 5, -5, 2)),
+]
+
+
+def test_a_chain_that_meets_an_earlier_one_takes_its_fixpoint(monkeypatch):
+    # fewer phi steps than the oracle, which walks every chain to its end
+    calls = {"garside": 0, "oracle": 0}
+
+    def counted(name, phi):
+        def wrapper(*args):
+            calls[name] += 1
+            return phi(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(garside, "_phi", counted("garside", garside._phi))
+    monkeypatch.setattr(oracle, "phi", counted("oracle", oracle.phi))
+    for w in CHAINS_MEET:
+        x = oracle._summit_representative(normal_form(w))
+        _minimal_simples_match_the_oracle(x, garside._Table())
+    assert calls["garside"] < calls["oracle"], calls
+
+
+def test_minimal_simples_match_the_oracle_on_a_whole_summit_set():
+    # every element the 388-node five-strand walk stores, through one
+    # table as conjugacy_test shares it
+    u = BraidWord(5, (2, -3, 2, -3, -4, 4, -3, 1, -3, -3, -4, -2))
+    table = garside._Table()
+    x = garside._summit_representative(normal_form(u, table), table)
+    seen, frontier = {x}, [x]
+    while frontier:
+        next_frontier = []
+        for x in frontier:
+            _minimal_simples_match_the_oracle(x, table)
+            for s in garside._minimal_simples(x, table):
+                y = garside._conj(x, s, table)
+                if y not in seen:
+                    seen.add(y)
+                    next_frontier.append(y)
+        frontier = next_frontier
+    assert len(seen) == 388
