@@ -37,7 +37,9 @@ from .moves import (
     find_destabilizations,
     find_exchanges,
 )
-from .words import BraidWord, _cut_seam, cyclic_key, cyclic_reduce, free_reduce
+from .words import (
+    BraidWord, _cut_seam, _derived, cyclic_key, cyclic_reduce, free_reduce
+)
 
 __all__ = [
     "SearchConfig",
@@ -103,7 +105,7 @@ def _normalize(word: BraidWord) -> tuple[BraidWord, tuple[Move, ...]]:
     # for the free reduction, and conjugating by the inverse of each
     # leading letter the seam loses strips that letter and its partner
     reduced = free_reduce(word)
-    core = _cut_seam(reduced)
+    core = _derived(word.index, _cut_seam(reduced.letters))
     moves = [Conjugate(BraidWord(word.index, ()))] if reduced != word else []
     stripped = reduced.letters[: (len(reduced) - len(core)) // 2]
     moves += [Conjugate(BraidWord(word.index, (-g,))) for g in stripped]

@@ -19,9 +19,11 @@ coefficient is at most the polynomial's maximum on the unit circle,
 Hadamard's bound there (the product of the column norms) bounds the
 determinant and fixes the K it is computed at.  The division by
 ``1 + ... + t^(n-1)`` runs on the determinant's digits.
-``alexander`` works on the cyclically reduced word: conjugation and free
-reduction leave the closed braid as it is, and the letters they drop
-would only lengthen the products.  Both entries are unchanged by
+Both entries are read from the word's core, which closes to the same
+link: the cyclically reduced word after every Markov destabilization
+that a lone sigma_(n-1), or a lone sigma_1 after conjugating by the half
+twist, allows.  A core lacking a generator closes to a split link, whose
+polynomial is 0 with no Burau matrix.  Both entries are unchanged by
 conjugation, by both stabilizations and by exchange moves, so a
 fingerprint mismatch certifies that two closures are different links.
 The self linking number, exponent sum minus strand count, is
@@ -33,12 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import add
 
 from .words import (
-    BraidWord,
-    closure_components,
-    cyclic_reduce,
-    exponent_sum,
+    BraidWord, _cut_seam, _derived, _least_rotation, closure_components,
+    cyclic_reduce, exponent_sum,
 )
 
 __all__ = [
@@ -249,16 +250,19 @@ def _bareiss(a: list[list[int]]) -> int:
 def alexander(w: BraidWord) -> LaurentPoly:
     """Normalized one variable Alexander polynomial of the closure.
 
-    Returns 1 for the one strand closure, 0 when the Burau determinant
-    vanishes (split closures included), and otherwise the exact quotient
-    by ``1 + t + ... + t^(n-1)`` normalized up to units.
+    Works on the word's core, which closes to the same link.  Returns 1
+    when the core has one strand, 0 when it lacks a generator (an
+    obviously split closure) or its Burau determinant vanishes, and
+    otherwise the exact quotient by ``1 + t + ... + t^(n-1)``
+    normalized up to units.
     """
 
+    w = _core(w)
     if w.index == 1:
         return LaurentPoly.one()
-    # conjugation and free reduction keep the closure, so the shorter
-    # cyclically reduced word gives the same polynomial
-    cols, exps, k = _packed_burau(cyclic_reduce(w))
+    if len(set(map(abs, w.letters))) < w.index - 1:
+        return LaurentPoly()
+    cols, exps, k = _packed_burau(w)
     # each coefficient of the determinant is at most its maximum on
     # the unit circle, which Hadamard bounds by the product of the
     # column norms, and an entry's modulus there is at most its L1 norm;
@@ -296,16 +300,46 @@ class Fingerprint:
 
 def fingerprint(w: BraidWord) -> Fingerprint:
     """The move invariant fingerprint of the word's closure."""
-    return Fingerprint(closure_components(w), alexander(w))
+    core = _core(w)
+    return Fingerprint(closure_components(core), alexander(core))
 
 
-def _closed_fingerprint(prints: dict, key, w: BraidWord) -> Fingerprint:
-    # fingerprint(w) through the caller's memo, which lives for one call;
-    # key is cyclic_key(w), and words with one key close to the same
-    # closed braid
+def _core(w: BraidWord) -> BraidWord:
+    # the cyclically reduced word, then while sigma_(n-1), or else
+    # sigma_1, occurs once: that letter deleted with the letters after
+    # it rotated to the front, so that only the seam can cancel, and cut
+    if 0 in map(add, w.letters, w.letters[1:] + w.letters[:1]):
+        w = cyclic_reduce(w)
+    n, letters = w.index, w.letters
+    while n > 1:
+        count = letters.count
+        if count(n - 1) + count(1 - n) == 1:
+            g = n - 1
+        elif count(1) + count(-1) == 1:
+            g = 1
+        else:
+            break
+        i = letters.index(g if count(g) else -g)
+        rest = letters[i + 1 :] + letters[:i]
+        if g == 1:  # the half twists on n and n - 1 strands: k -> k - 1
+            rest = tuple([x - 1 if x > 0 else x + 1 for x in rest])
+        n -= 1
+        letters = _cut_seam(rest)
+    return w if n == w.index else _derived(n, letters)
+
+
+def _closed(w: BraidWord) -> tuple[tuple[int, tuple[int, ...]], BraidWord]:
+    # (key, core): words with one key have cores that rotate to each other
+    core = _core(w)
+    return _least_rotation(core), core
+
+
+def _closed_fingerprint(prints: dict, key, core: BraidWord) -> Fingerprint:
+    # fingerprint(core) through the caller's memo, which lives for one
+    # call; key and core come from _closed
     fp = prints.get(key)
     if fp is None:
-        fp = prints[key] = fingerprint(w)
+        fp = prints[key] = fingerprint(core)
     return fp
 
 

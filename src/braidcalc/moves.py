@@ -23,9 +23,9 @@ check, so the applier and the JSON codecs hold no per-kind code.
 
 A :class:`Tower` stores the starting word and one ``(move, result)``
 pair per step.  ``replay`` re-applies each move, confirms the recorded
-words, and reports the closure fingerprint at every stage; stages that
-are one closed braid up to rotation and cancellation share one
-fingerprint computation within the call.
+words, and reports the closure fingerprint at every stage; stages whose
+cores (see :mod:`braidcalc.invariants`) are rotations of each other
+share one fingerprint computation within the call.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from .invariants import Fingerprint, _closed_fingerprint
+from .invariants import Fingerprint, _closed, _closed_fingerprint
 from .words import (
     BraidWord,
     _dump_json,
     _int_field,
     _list_field,
     conjugate,
-    cyclic_key,
     format_word,
     parse_word,
     rotate,
@@ -317,12 +316,13 @@ class ReplayReport:
 def replay(tower: Tower) -> ReplayReport:
     """Re-apply every move, check the record, fingerprint every stage.
 
-    Stages that are rotations of one cyclically reduced word share a
-    fingerprint, computed once per call.
+    Stages whose cores are rotations of each other close to one link
+    and share a fingerprint, computed once per call: rotations, seam
+    cancellations and single-letter destabilizations among them.
     """
     memo: dict = {}
     current = tower.initial
-    prints = [_closed_fingerprint(memo, cyclic_key(current), current)]
+    prints = [_closed_fingerprint(memo, *_closed(current))]
     for number, step in enumerate(tower.steps, start=1):
         try:
             computed = apply_move(current, step.move)
@@ -334,7 +334,7 @@ def replay(tower: Tower) -> ReplayReport:
         ):
             return _report(False, number, prints)
         current = computed
-        prints.append(_closed_fingerprint(memo, cyclic_key(current), current))
+        prints.append(_closed_fingerprint(memo, *_closed(current)))
     return _report(True, None, prints)
 
 

@@ -14,11 +14,11 @@ A template pairs two diagrams over the same block names.  A template
 is the assertion that for every assignment the two expansions close to
 the same link; ``verify_template`` samples assignments and compares
 closure fingerprints, which can refute an encoding but never certify
-it.  A sample whose two expansions share a cyclic key (the least
-rotation of the cyclically reduced word) passes without a fingerprint,
-since conjugate words close to the same braid.  Otherwise, within one
-call, it fingerprints each closed braid once: expansions that are
-rotations of one cyclically reduced word share a fingerprint, held in a
+it.  A sample whose two expansions have cores (see
+:mod:`braidcalc.invariants`) that are rotations of each other passes
+without a fingerprint, since such words close to the same link.
+Otherwise, within one call, it fingerprints each core once: expansions
+whose cores are rotations of each other share a fingerprint, held in a
 memo that dies with the call.  A diagram keeps the walk it makes when
 it is built; a band's crossing letters join it on first expansion, and
 a template keeps the tables it draws samples from on first sampling.
@@ -45,10 +45,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .invariants import _closed_fingerprint
+from .invariants import _closed, _closed_fingerprint
 from .moves import Conjugate, Destabilize, Stabilize, Tower, extend
 from .words import (
-    BraidWord, _derived, _dump_json, _int_field, _list_field, cyclic_key, inverse
+    BraidWord, _derived, _dump_json, _int_field, _list_field, inverse
 )
 
 __all__ = [
@@ -427,12 +427,11 @@ def verify_template(t: Template, samples: list[Assignment]) -> VerifyReport:
     """Expand both sides per sample and compare their closures.
 
     Expansion errors do not abort the run; they fail their sample with
-    the error text in the report.  A sample whose two expansions share a
-    :func:`~braidcalc.words.cyclic_key` passes without a fingerprint:
-    the words are conjugate, so they close to the same braid.  Otherwise
-    the closure fingerprints are compared; expansions that are rotations
-    of one cyclically reduced word share a fingerprint, computed once
-    per call.
+    the error text in the report.  A sample whose two expansions have
+    cores that are rotations of each other passes without a fingerprint:
+    the words close to the same link.  Otherwise the closure
+    fingerprints are compared; expansions whose cores are rotations of
+    each other share a fingerprint, computed once per call.
     """
 
     if not samples:
@@ -446,12 +445,13 @@ def verify_template(t: Template, samples: list[Assignment]) -> VerifyReport:
         except (CoverageError, IndexMismatch, WeightFlowError) as err:
             rows.append(VerifySample(number, False, str(err)))
             continue
-        plus_key, minus_key = cyclic_key(plus_word), cyclic_key(minus_word)
+        plus_key, plus_core = _closed(plus_word)
+        minus_key, minus_core = _closed(minus_word)
         if plus_key == minus_key:
             rows.append(VerifySample(number, True))
             continue
-        plus = _closed_fingerprint(memo, plus_key, plus_word)
-        minus = _closed_fingerprint(memo, minus_key, minus_word)
+        plus = _closed_fingerprint(memo, plus_key, plus_core)
+        minus = _closed_fingerprint(memo, minus_key, minus_core)
         if plus == minus:
             rows.append(VerifySample(number, True))
         else:

@@ -309,17 +309,16 @@ def closure_components(w: BraidWord) -> int:
 
 def cyclic_reduce(w: BraidWord) -> BraidWord:
     """Freely reduce, then cancel inverse pairs across the seam."""
-    return _cut_seam(free_reduce(w))
+    return _derived(w.index, _cut_seam(free_reduce(w).letters))
 
 
-def _cut_seam(w: BraidWord) -> BraidWord:
-    # cancel inverse pairs across the seam of a freely reduced word
-    letters = w.letters
+def _cut_seam(letters: tuple[int, ...]) -> tuple[int, ...]:
+    # cancel inverse pairs across the seam of freely reduced letters
     i, j = 0, len(letters) - 1
     while i < j and letters[i] == -letters[j]:
         i += 1
         j -= 1
-    return _derived(w.index, letters[i : j + 1])
+    return letters[i : j + 1]
 
 
 def cyclic_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
@@ -330,7 +329,12 @@ def cyclic_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     least letter.  Words with one key are conjugate, so their closures
     are the same closed braid.
     """
-    letters = cyclic_reduce(w).letters
+    return _least_rotation(cyclic_reduce(w))
+
+
+def _least_rotation(w: BraidWord) -> tuple[int, tuple[int, ...]]:
+    # cyclic_key of a word that is already cyclically reduced
+    letters = w.letters
     if not letters:
         return (w.index, ())
     least = min(letters)

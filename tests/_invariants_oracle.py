@@ -6,7 +6,7 @@ coefficient, with the ring operations and the exact long division.  It
 is the oracle for differential tests of
 :class:`braidcalc.invariants.LaurentPoly` and of the division that
 :func:`braidcalc.invariants.alexander` runs on digits, and every other
-function here computes over it.
+function here but ``packed_alexander`` computes over it.
 
 ``burau`` is the reduced Burau product as it was before the one-column
 update: every letter becomes a full ``(n - 1) x (n - 1)`` generator
@@ -21,6 +21,12 @@ over Laurent polynomials applied to ``column_burau(w) - I``, then the
 exact quotient by ``1 + t + ... + t^(n-1)``.  They are the oracle for
 :func:`braidcalc.invariants.alexander`.
 
+``packed_alexander`` is :func:`braidcalc.invariants.alexander` as it
+was before it read the word's core: the packed pipeline on the
+cyclically reduced word at its full strand count, a Burau matrix built
+for split closures too.  It is the oracle for the core's
+destabilizations and for the zero answer on obviously split cores.
+
 Each public function returns :class:`braidcalc.invariants.LaurentPoly`
 values, converted at its return by ``dense``.
 """
@@ -28,9 +34,18 @@ values, converted at its return by ``dense``.
 from __future__ import annotations
 
 from functools import cache
+from math import isqrt
 
-from braidcalc.invariants import DivisibilityFailure, LaurentPoly
-from braidcalc.words import BraidWord
+from braidcalc.invariants import (
+    DivisibilityFailure,
+    LaurentPoly,
+    _bareiss,
+    _digits,
+    _divide_geometric,
+    _pack,
+    _packed_burau,
+)
+from braidcalc.words import BraidWord, cyclic_reduce
 
 
 class DictLaurentPoly:
@@ -332,3 +347,25 @@ def alexander(w: BraidWord) -> LaurentPoly:
     det = _dict_det(rows)
     cycle = DictLaurentPoly({e: 1 for e in range(w.index)})
     return dense(det.exact_div(cycle).normalized())
+
+
+def packed_alexander(w: BraidWord) -> LaurentPoly:
+    """The packed Alexander polynomial of the cyclically reduced word."""
+
+    if w.index == 1:
+        return LaurentPoly.one()
+    cols, exps, k = _packed_burau(cyclic_reduce(w))
+    bound, coeffs = 1, []
+    for j, col in enumerate(cols):
+        col[j] -= 1 << k * exps[j]
+        low = min(
+            (((x & -x).bit_length() - 1) // k for x in col if x), default=0
+        )
+        exps[j] -= low
+        entries = [_digits(x >> k * low, k) for x in col]
+        bound *= max(sum(sum(map(abs, cs)) ** 2 for cs in entries), 1)
+        coeffs.append(entries)
+    kd = (isqrt(bound) + 1).bit_length() + 1
+    det = _bareiss([[_pack(cs, kd) for cs in row] for row in zip(*coeffs)])
+    quotient = _divide_geometric(_digits(det, kd), w.index)
+    return LaurentPoly(-sum(exps), tuple(quotient)).normalized()

@@ -122,6 +122,27 @@ def test_invariants_pinned(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "word, want",
+    [
+        # peels to one strand, an unknot, with no Burau matrix
+        (
+            "300: " + " ".join(map(str, range(1, 300))),
+            "components=1 alexander=1 sl=-1",
+        ),
+        # one destabilization, then no generator: split, no Burau matrix
+        ("3000: 1", "components=2999 alexander=0 sl=-2999"),
+    ],
+)
+def test_invariants_on_many_strands_read_the_core(capsys, word, want):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "invariants", word)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.strip() == want
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
 _DIGITS = "1" * 5000  # more digits than int() converts
 
 

@@ -21,6 +21,8 @@ from braidcalc.invariants import (
     DivisibilityFailure,
     Fingerprint,
     LaurentPoly,
+    _closed,
+    _core,
     _digits,
     _divide_geometric,
     _pack,
@@ -423,3 +425,88 @@ def test_alexander_is_polynomial_time():
     alexander(BraidWord(14, letters))
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+def peelable_word(rng, max_index, max_size):
+    # a word that exercises the core: letters from a random subset of
+    # the generators (often a split closure), then top and bottom
+    # stabilizations inserted anywhere, then an unreduced conjugation.
+    # With no base strands beyond the first, it peels down to one strand
+    stabs = rng.randint(0, max_index - 1)
+    n = rng.randint(1, max_index - stabs)
+    gens = [g for g in range(1, n) if rng.random() < 0.7]
+    size = rng.randint(0, max_size - stabs - 6) if gens else 0
+    letters = [rng.choice(gens) * rng.choice((1, -1)) for _ in range(size)]
+    for _ in range(stabs):
+        i, sign = rng.randint(0, len(letters)), rng.choice((1, -1))
+        if rng.random() < 0.5:  # sigma_n on n + 1 strands
+            letters.insert(i, sign * n)
+        else:  # every letter one strand up, sigma_1 below them
+            letters = [g + 1 if g > 0 else g - 1 for g in letters]
+            letters.insert(i, sign)
+        n += 1
+    if n > 1 and rng.random() < 0.5:
+        c = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(3)]
+        letters = [-g for g in reversed(c)] + letters + c
+    return BraidWord(n, letters)
+
+
+def core_mismatches(words, reference):
+    return [
+        w
+        for w in words
+        if fingerprint(w) != Fingerprint(closure_components(w), reference(w))
+    ]
+
+
+def test_fingerprint_on_the_core_matches_the_packed_oracle():
+    # the uncut word's components and packed polynomial, n 1-10 and up
+    # to 80 letters
+    rng = random.Random(27)
+    words = [peelable_word(rng, 10, 80) for _ in range(1500)]
+    assert {w.index for w in words} == set(range(1, 11))
+    assert max(map(len, words)) > 60
+    assert core_mismatches(words, oracle.packed_alexander) == []
+    # split closures, chains that peel to one strand and full cores
+    cores = [_core(w) for w in words]
+    split = [len(set(map(abs, c.letters))) < c.index - 1 for c in cores]
+    assert sum(split) > 200
+    assert sum(c.index == 1 for c in cores) > 100
+    kept = [c.index > 2 and c == cyclic_reduce(w) for w, c in zip(words, cores)]
+    assert sum(kept) > 50
+
+
+def test_fingerprint_on_the_core_matches_the_dict_oracle():
+    # the independent polynomial over dict Laurent polynomials, n 1-6
+    rng = random.Random(28)
+    words = [peelable_word(rng, 6, 20) for _ in range(400)]
+    assert core_mismatches(words, oracle.alexander) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_fingerprint_on_the_core_matches_the_oracles(rng):
+    w = peelable_word(rng, 10, 80)
+    assert core_mismatches([w], oracle.packed_alexander) == []
+    if w.index <= 6 and len(w) <= 20:
+        assert core_mismatches([w], oracle.alexander) == []
+
+
+def test_core_destabilizes_single_top_and_bottom_letters():
+    # sigma_2 once: deleted; then sigma_1 twice stays
+    assert _core(parse_word("3: 1 2 1")) == BraidWord(2, (1, 1))
+    # sigma_1 once: deleted and the rest lowered
+    assert _core(parse_word("4: 2 3 1 3 2")) == BraidWord(3, (2, 1, 1, 2))
+    # the seam that a deletion opens is cut, and the rest peels away
+    assert _core(parse_word("4: 1 3 -1 2 2")) == BraidWord(3, (2, 2))
+    assert _core(parse_word("4: 2 1 -3")) == BraidWord(1, ())
+    # an absent generator stops the peeling: the closure is split
+    assert _core(parse_word("4: 2 -3 3 -2 1")) == BraidWord(3, ())
+    assert _core(parse_word("5: 1 -2 1 -2")) == BraidWord(5, (1, -2, 1, -2))
+    # one key for the rotations and stabilizations of one core
+    w = parse_word("3: 1 -2 1 -2 1")
+    key = _closed(w)[0]
+    assert key == _closed(rotate(w, 2))[0]
+    assert key == _closed(BraidWord(4, (3,) + w.letters))[0]
+    assert key == _closed(BraidWord(5, (-4,) + w.letters + (3,)))[0]
+    assert alexander(parse_word("6: 3")) == LaurentPoly()

@@ -12,8 +12,17 @@ from hypothesis import strategies as st
 import _templates_oracle as oracle
 from braidcalc import invariants, moves, templates
 from braidcalc.garside import is_trivial, words_equal
-from braidcalc.invariants import Fingerprint, LaurentPoly, fingerprint
-from braidcalc.moves import CyclicShift, Tower, extend, replay, tower_to_json
+from braidcalc.invariants import Fingerprint, LaurentPoly, _closed, fingerprint
+from braidcalc.moves import (
+    Conjugate,
+    CyclicShift,
+    Destabilize,
+    Stabilize,
+    Tower,
+    extend,
+    replay,
+    tower_to_json,
+)
 from braidcalc.templates import (
     Band,
     BlockOnLastStrand,
@@ -589,7 +598,7 @@ def test_verify_template_matches_the_memo_free_oracle(seed, max_len):
         assert verify_template(t, samples) == oracle.verify_template(t, samples)
 
 
-def test_verify_template_fingerprints_each_closed_braid_once(monkeypatch):
+def test_verify_template_fingerprints_each_core_once(monkeypatch):
     calls = []
 
     def counted(w):
@@ -603,16 +612,37 @@ def test_verify_template_fingerprints_each_closed_braid_once(monkeypatch):
     asg = {"P": BraidWord(2, (1, 1, 1)), "Q": BraidWord(2, (-1,))}
     assert verify_template(t, [asg, asg, asg]).all_pass
     assert calls == []
-    # the exchange's sides have two keys: one print per key, within a call
+    # a destabilization's sides differ in strand count and cyclic key,
+    # but their cores share a key: no print either
+    destab = make_destabilize(-1)
+    plus, minus = expand(destab.plus, asg), expand(destab.minus, asg)
+    assert cyclic_key(plus) != cyclic_key(minus)
+    assert _closed(plus)[0] == _closed(minus)[0]
+    assert verify_template(destab, [asg, asg]).all_pass
+    assert calls == []
+    # the exchange's sides have two core keys: one print of each core,
+    # within a call
     exchange = make_exchange(1)
     plus, minus = expand(exchange.plus, asg), expand(exchange.minus, asg)
-    assert cyclic_key(plus) != cyclic_key(minus)
+    plus_key, plus_core = _closed(plus)
+    minus_key, minus_core = _closed(minus)
+    assert plus_key != minus_key
     assert verify_template(exchange, [asg, asg, asg]).all_pass
-    assert calls == [plus, minus]
-    # rotations and seam cancellations share the print, within one call
-    tower = extend(Tower(plus), CyclicShift(1), CyclicShift(3))
+    assert calls == [plus_core, minus_core]
+    # rotations, seam cancellations and single-letter destabilizations
+    # share the print, within one call
+    tower = extend(
+        Tower(plus),
+        CyclicShift(1),
+        Conjugate(BraidWord(3, (2, -1))),
+        Stabilize(1),
+        Stabilize(-1),
+        Destabilize(-1),
+        CyclicShift(3),
+    )
+    assert len({_closed(w)[0] for w in tower.words}) == 1
     assert replay(tower).constant
-    assert len(calls) == 3
+    assert calls[2:] == [plus_core]
     replay(tower)
     assert len(calls) == 4
 
