@@ -40,10 +40,9 @@ connected under conjugation by its minimal simple elements: for each
 generator, the least permutation braid above it that keeps a conjugate
 in the set (Franco and Gonzalez-Meneses, J. Algebra 266, 2003).  Each
 element has at most ``n - 1`` of them, found by iterating one map from
-each generator: a chain that meets a simple an earlier chain visited
-takes that chain's fixpoint, and the map's memoized remainder steps
-stop at the identity remainder, which stays the identity.  Two
-elements are conjugate exactly when their super summit sets coincide.
+each generator; the map's memoized remainder steps stop at the
+identity remainder, which stays the identity.  Two elements are
+conjugate exactly when their super summit sets coincide.
 The search explores that set with a node cap and reports an
 inconclusive verdict if the cap is exceeded.  Each conjugation of
 ``x = D^p F1 ... Fm`` hands that loop one positive product of simples
@@ -434,21 +433,13 @@ def _minimal_simples(x: NormalForm, table: _Table) -> list[Perm]:
     # for each generator sigma_i, the least simple s above it with x^s
     # in the super summit set of x, which holds x.  phi_x(s) = s exactly
     # when conjugating by s keeps the infimum, and phi is monotone with
-    # D a fixpoint, so iterating from sigma_i stops at the least one.
-    # The iterated map is the same for every generator, so each simple
-    # visited keeps the fixpoint its chain reached, for later chains
+    # D a fixpoint, so iterating from sigma_i stops at the least one
     n, xi = x.index, _inverse(x, table)
-    one, reached, out = tuple(range(1, n + 1)), {}, []
+    one, out = tuple(range(1, n + 1)), []
     for i in range(1, n):
-        s, chain = _tau(i, n), []
-        while s not in reached:
-            t = _phi(_phi(s, x, table, one), xi, table, one)
-            chain.append(s)
-            if t == s:
-                break
+        s = _tau(i, n)
+        while (t := _phi(_phi(s, x, table, one), xi, table, one)) != s:
             s = t
-        s = reached.get(s, s)
-        reached.update(dict.fromkeys(chain, s))
         if s not in out:
             out.append(s)
     return out

@@ -19,13 +19,15 @@ coefficient is at most the polynomial's maximum on the unit circle,
 Hadamard's bound there (the product of the column norms) bounds the
 determinant and fixes the K it is computed at.  The division by
 ``1 + ... + t^(n-1)`` runs on the determinant's digits.
-Both entries are read from the word's core, which closes to the same
+The polynomial is read from the word's core, which closes to the same
 link: the cyclically reduced word after every Markov destabilization
 that a lone sigma_(n-1), or a lone sigma_1 after conjugating by the half
 twist, allows.  A core lacking a generator closes to a split link, whose
-polynomial is 0 with no Burau matrix.  Both entries are unchanged by
-conjugation, by both stabilizations and by exchange moves, so a
-fingerprint mismatch certifies that two closures are different links.
+polynomial is 0 with no Burau matrix.  The component count, a link
+invariant too, is read from the word as given.  Both entries are
+unchanged by conjugation, by both stabilizations and by exchange moves,
+so a fingerprint mismatch certifies that two closures are different
+links.
 The self linking number, exponent sum minus strand count, is
 deliberately kept out of the fingerprint: it drops by two under
 negative stabilization and is reported separately.
@@ -299,9 +301,11 @@ class Fingerprint:
 
 
 def fingerprint(w: BraidWord) -> Fingerprint:
-    """The move invariant fingerprint of the word's closure."""
-    core = _core(w)
-    return Fingerprint(closure_components(core), alexander(core))
+    """The move invariant fingerprint of the word's closure.
+
+    Components are counted on the word as given; ``alexander`` cores it.
+    """
+    return Fingerprint(closure_components(w), alexander(w))
 
 
 def _core(w: BraidWord) -> BraidWord:

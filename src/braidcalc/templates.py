@@ -759,24 +759,22 @@ def load_template(path) -> Template:
         return template_from_json(json.load(fh))
 
 
-def catalog(directory=None) -> list[Template]:
+def catalog() -> list[Template]:
     """The template catalog.
 
-    ``directory`` overrides the source with the ``*.json`` template
-    files in it, sorted by file name; otherwise the environment variable
-    ``BRAID_TEMPLATE_DIR`` does, read on every call; otherwise the
-    catalog is :func:`builtin_templates`, sorted by name, built once per
-    process.  An empty value counts as unset, and a directory that does
-    not exist raises :class:`NotADirectoryError`.  Each call returns a
-    new list.
+    The environment variable ``BRAID_TEMPLATE_DIR``, read on every call,
+    names a directory whose ``*.json`` template files, sorted by file
+    name, are the catalog; otherwise the catalog is
+    :func:`builtin_templates`, sorted by name, built once per process.
+    An empty value counts as unset, and a directory that does not exist
+    raises :class:`NotADirectoryError`.  Each call returns a new list.
     """
 
-    if not directory:
-        directory = os.environ.get(TEMPLATE_DIR_ENV)
+    directory = os.environ.get(TEMPLATE_DIR_ENV)
     if not directory:
         return list(_BUILTIN)
     if not Path(directory).is_dir():
-        raise NotADirectoryError(f"no template directory {str(directory)!r}")
+        raise NotADirectoryError(f"no template directory {directory!r}")
     return [load_template(p) for p in sorted(Path(directory).glob("*.json"))]
 
 

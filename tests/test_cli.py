@@ -201,6 +201,23 @@ def test_replay_and_reduce_tower(tmp_path, capsys):
     assert out.startswith("replay ok")
     code, _, err = run(capsys, "replay", str(tmp_path / "missing.json"))
     assert code == 2
+    # the second step's negative destabilization no longer applies
+    doc = {
+        "initial": "2: 1",
+        "steps": [
+            {"move": {"kind": "stabilize", "sign": 1}, "result": "3: 1 2"},
+            {"move": {"kind": "destabilize", "sign": -1}, "result": "2: 1"},
+        ],
+    }
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "replay", str(broken))
+    assert (code, out, err) == (1, "replay failed at step 2\n", "")
+    code, out, _ = run(capsys, "replay", str(broken), "--format", "json")
+    payload = json.loads(out)
+    assert code == 1
+    assert (payload["ok"], payload["failed_step"]) == (False, 2)
+    assert len(payload["fingerprints"]) == 2
 
 
 def test_tower_and_template_files_take_one_document_and_one_write(
@@ -278,6 +295,9 @@ def test_expand_catalog_name(capsys):
     assert parse_word(out.strip()).index >= 2
     code, _, err = run(capsys, "expand", "no_such_template")
     assert code == 2
+    code, out, err = run(capsys, "expand", "destabilize_pos", "--assign", "P")
+    assert (code, out) == (2, "")
+    assert err == "error: expected NAME=WORD, got 'P'\n"
 
 
 def test_expand_file(tmp_path, capsys):
@@ -387,6 +407,17 @@ def test_certify_pinned(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "certify", str(path), "--min-last-count", "1")
     assert code == 1 and "error" in err
+    # a template file is read on the side asked for: the minus side's
+    # block reaches the last of its two strands
+    path = tmp_path / "template.json"
+    dump_template(make_destabilize(1), path)
+    code, out, _ = run(capsys, "certify", str(path), "--min-last-count", "2")
+    assert (code, out) == (0, "sigma_budget=1 required=2 certified=yes\n")
+    code, out, err = run(
+        capsys, "certify", str(path), "--side", "minus", "--min-last-count", "2"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: block 'P' spans strands 1..2 of 2\n"
 
 
 def test_census_command(tmp_path, capsys):
@@ -408,6 +439,24 @@ def test_census_command(tmp_path, capsys):
     assert code == 1
     code, _, err = run(capsys, "census", str(tmp_path / "nope.json"))
     assert code == 2
+    # with chi, a surface line; a V(1,0) row and an a >= 2 row, advisories
+    doc = {
+        "V": [{"a": 1, "b": 0, "count": 2}, {"a": 2, "b": 1, "count": 1}],
+        "Ea": 4,
+        "Eb": 2,
+        "Es": 2,
+        "chi": 0,
+    }
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "census", str(path))
+    assert code == 1
+    assert out == (
+        "annulus_residual=-1\n"
+        "surface_residual=-1\n"
+        "vertex_residual=-2 a_residual=0 b_residual=-3\n"
+        "advisory: V(1,0) = 2, expected 0\n"
+        "advisory: V(2,1) = 1, expected 0 for a >= 2\n"
+    )
 
 
 def test_reduce_rejects_bad_budget(capsys):
@@ -454,6 +503,9 @@ _DOCUMENTS = {
     "{count-float}": _edited(_CENSUS, (("V", 0), "count", 4.9)),
     "{es-float}": _edited(_CENSUS, ((), "Es", 2.5)),
     "{chi-bool}": _edited(_CENSUS, ((), "chi", True)),
+    "{es-negative}": _edited(_CENSUS, ((), "Es", -1)),
+    "{span-zero}": _edited(_TEMPLATE, (("plus", "entries", 0), "span", 0)),
+    "{slots-out}": _edited(_TEMPLATE, (("plus", "entries", 0), "pos", 3)),
     "{no-plus}": {k: v for k, v in _TEMPLATE.items() if k != "plus"},
     "{no-b}": {**_CENSUS, "V": [{"a": 1, "count": 4}]},
     "{steps-object}": {"initial": "2: 1", "steps": {}},
@@ -512,10 +564,13 @@ _DOCUMENTS = {
                 "{name-int}",
                 "{id-int}",
                 "{no-plus}",
+                "{span-zero}",
+                "{slots-out}",
             )
         ],
         *[["census", name] for name in ("{count-float}", "{es-float}",
-                                         "{chi-bool}", "{no-b}")],
+                                         "{chi-bool}", "{no-b}",
+                                         "{es-negative}")],
         ["reduce", "3: 1 -2", "--out", "{dir}"],
         ["move", "2: 1", "[" * 100_000],
         ["replay", "{deep}"],
@@ -557,10 +612,13 @@ _DOCUMENTS = {
         "template-name-int",
         "template-id-int",
         "template-no-plus",
+        "template-span-zero",
+        "template-slots-out-of-range",
         "census-count-float",
         "census-es-float",
         "census-chi-bool",
         "census-no-b",
+        "census-es-negative",
         "reduce-out-dir",
         "move-deep",
         "tower-deep",

@@ -180,6 +180,16 @@ def test_obfuscated_unknot_recovery():
     assert report.ok and report.constant
 
 
+def test_children_longer_than_the_word_cap_are_skipped():
+    # both stabilizations of 2: 1 1 1 have four letters, and it admits
+    # no destabilization or exchange, so the root is all the search has
+    w = BraidWord(2, (1, 1, 1))
+    out = search_reduce(w, SearchConfig(max_word_length=3))
+    assert (out.nodes, out.best.steps, out.reached) == (1, (), w)
+    assert not out.exhausted
+    assert search_reduce(w, SearchConfig(max_word_length=4)).nodes > 1
+
+
 def test_search_never_worsens():
     for letters in [(), (1, 2), (1, 1, 2, -1, -2), (1, -2, 1, -2)]:
         w = BraidWord(3, letters)

@@ -246,6 +246,18 @@ def test_replay_flags_corrupted_steps():
     report = replay(tower)
     assert not report.ok
     assert report.failed_step == 1
+    # a step whose move no longer applies: the stabilization's top
+    # letter is positive, so a negative destabilization finds no site
+    tower = Tower(
+        BraidWord(2, (1,)),
+        (
+            TowerStep(Stabilize(1), BraidWord(3, (1, 2))),
+            TowerStep(Destabilize(-1), BraidWord(2, (1,))),
+        ),
+    )
+    report = replay(tower)
+    assert (report.ok, report.failed_step) == (False, 2)
+    assert report.fingerprints == (fingerprint(BraidWord(2, (1,))),) * 2
 
 
 def test_very_simple_tower_matches_the_shallow_flype():

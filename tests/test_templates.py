@@ -289,7 +289,8 @@ def test_catalog_directory_override(tmp_path, monkeypatch):
     assert [entry.name for entry in catalog()] == [t.name]
     monkeypatch.delenv("BRAID_TEMPLATE_DIR")
     assert len(catalog()) == len(CATALOG_NAMES)
-    assert [entry.name for entry in catalog(tmp_path)] == [t.name]
+    monkeypatch.setenv("BRAID_TEMPLATE_DIR", str(tmp_path))
+    assert [entry.name for entry in catalog()] == [t.name]
 
 
 def test_catalog_is_a_new_list_each_call(tmp_path, monkeypatch):
@@ -314,7 +315,13 @@ def test_an_empty_template_dir_is_unset(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("BRAID_TEMPLATE_DIR", "")
     assert [t.name for t in catalog()] == CATALOG_NAMES
-    assert [t.name for t in catalog("")] == CATALOG_NAMES
+    # set, then emptied: read again and unset
+    (tmp_path / "junk.json").unlink()
+    dump_template(make_cyclic(3), tmp_path / "only.json")
+    monkeypatch.setenv("BRAID_TEMPLATE_DIR", str(tmp_path))
+    assert [t.name for t in catalog()] == ["cyclic3"]
+    monkeypatch.setenv("BRAID_TEMPLATE_DIR", "")
+    assert [t.name for t in catalog()] == CATALOG_NAMES
 
 
 def test_a_missing_template_dir_is_named(tmp_path, monkeypatch):
@@ -323,8 +330,9 @@ def test_a_missing_template_dir_is_named(tmp_path, monkeypatch):
     with pytest.raises(NotADirectoryError, match="nowhere"):
         catalog()
     (tmp_path / "file.json").write_text("{}")
+    monkeypatch.setenv("BRAID_TEMPLATE_DIR", str(tmp_path / "file.json"))
     with pytest.raises(NotADirectoryError, match="file.json"):
-        catalog(tmp_path / "file.json")
+        catalog()
 
 
 def test_diagram_json_round_trip():
