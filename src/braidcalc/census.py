@@ -11,10 +11,9 @@ booleans so callers can see how far off an inconsistent table is.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .words import _int_field, _list_field
+from .words import _load_json, _typed
 
 __all__ = [
     "VertexCensus",
@@ -197,19 +196,18 @@ def census_from_json(data: dict) -> tuple[VertexCensus, EdgeCensus, int | None]:
     vc = VertexCensus(
         [
             (
-                (_int_field(row["a"], "a"), _int_field(row["b"], "b")),
-                _int_field(row["count"], "count"),
+                (_typed(row["a"], "a", int), _typed(row["b"], "b", int)),
+                _typed(row["count"], "count", int),
             )
-            for row in _list_field(data.get("V", []), "V")
+            for row in _typed(data.get("V", []), "V", list)
         ]
     )
     ec = EdgeCensus(
-        *(_int_field(data.get(key, 0), key) for key in ("Ea", "Eb", "Es"))
+        *(_typed(data.get(key, 0), key, int) for key in ("Ea", "Eb", "Es"))
     )
     chi = data.get("chi")
-    return vc, ec, None if chi is None else _int_field(chi, "chi")
+    return vc, ec, None if chi is None else _typed(chi, "chi", int)
 
 
 def load_census(path) -> tuple[VertexCensus, EdgeCensus, int | None]:
-    with open(path, encoding="utf-8") as fh:
-        return census_from_json(json.load(fh))
+    return census_from_json(_load_json(path))

@@ -58,7 +58,8 @@ from .templates import (
     verify_template,
 )
 from .words import (
-    BraidWord, WordFormatError, _dump_json, _json_text, format_word, parse_word
+    BraidWord, WordFormatError, _dump_json, _json_text, _load_json, format_word,
+    parse_word,
 )
 
 __all__ = ["main"]
@@ -255,8 +256,7 @@ def _cmd_verify_template(args) -> int:
 def _cmd_certify(args) -> int:
     if os.path.exists(args.diagram):
         with _document("diagram file"):
-            with open(args.diagram, encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = _load_json(args.diagram)
             if "plus" in data or "minus" in data:
                 data = data[args.side]
             diagram = diagram_from_json(data)

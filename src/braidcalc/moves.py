@@ -19,7 +19,9 @@ move cheap and every tower replayable letter by letter.  Each move value
 is its own site: ``find_destabilizations`` and ``find_exchanges`` return
 the moves a word admits, and ``apply_move``, the one applier, checks the
 site again.  Each move class states its JSON ``kind`` and its site
-check, so the applier and the JSON codecs hold no per-kind code.
+check, so the applier holds no per-kind code; the JSON codec is the
+shared record codec of :mod:`braidcalc.words`, which diagram entries
+use too.
 
 A :class:`Tower` stores the starting word and one ``(move, result)``
 pair per step.  ``replay`` re-applies each move, confirms the recorded
@@ -30,15 +32,16 @@ share one fingerprint computation within the call.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .invariants import Fingerprint, _closed, _closed_fingerprint
 from .words import (
     BraidWord,
     _dump_json,
-    _int_field,
-    _list_field,
+    _load_json,
+    _record_from_json,
+    _record_json,
+    _typed,
     conjugate,
     format_word,
     parse_word,
@@ -349,11 +352,7 @@ def move_to_json(move: Move) -> dict:
     """Encode one move as a JSON-ready dictionary tagged by kind."""
     if not isinstance(move, Move):
         raise TypeError(f"not a move: {move!r}")
-    data = {"kind": move.kind}
-    for f in fields(move):
-        value = getattr(move, f.name)
-        data[f.name] = format_word(value) if f.name == "by" else value
-    return data
+    return _record_json(move)
 
 
 def move_from_json(data: dict) -> Move:
@@ -364,19 +363,7 @@ def move_from_json(data: dict) -> Move:
     missing field ``KeyError``, and a document or field of the wrong JSON
     type ``TypeError`` or ``AttributeError``.
     """
-    kind = data.get("kind")
-    # the str test keeps an unhashable kind, such as a list, off the table
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise ValueError(f"unknown move kind: {kind!r}")
-    cls = _KINDS[kind]
-    return cls(
-        *(
-            parse_word(data[f.name])
-            if f.name == "by"
-            else _int_field(data[f.name], f.name, f.name in ("sign", "eps"))
-            for f in fields(cls)
-        )
-    )
+    return _record_from_json(data, _KINDS, "move")
 
 
 def tower_to_json(tower: Tower) -> dict:
@@ -393,7 +380,7 @@ def tower_from_json(data: dict) -> Tower:
     initial = parse_word(data["initial"])
     steps = tuple(
         TowerStep(move_from_json(s["move"]), parse_word(s["result"]))
-        for s in _list_field(data["steps"], "steps")
+        for s in _typed(data["steps"], "steps", list)
     )
     return Tower(initial, steps)
 
@@ -403,5 +390,4 @@ def dump_tower(tower: Tower, path) -> None:
 
 
 def load_tower(path) -> Tower:
-    with open(path, encoding="utf-8") as fh:
-        return tower_from_json(json.load(fh))
+    return tower_from_json(_load_json(path))

@@ -38,7 +38,6 @@ diagram cannot carry a braid whose conjugacy class needs more of them.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass, field
@@ -48,7 +47,8 @@ from pathlib import Path
 from .invariants import _closed, _closed_fingerprint
 from .moves import Conjugate, Destabilize, Stabilize, Tower, extend
 from .words import (
-    BraidWord, _derived, _dump_json, _int_field, _list_field, inverse
+    BraidWord, _derived, _dump_json, _load_json, _record_from_json, _record_json,
+    _typed, inverse,
 )
 
 __all__ = [
@@ -114,6 +114,7 @@ class Band:
 
     pos: int
     sign: int
+    kind = "band"
     span = 2  # the slots a band covers; not a field
 
 
@@ -128,9 +129,12 @@ class BlockRef:
     id: str
     span: int
     pos: int = 1
+    kind = "block"
 
 
 DiagramEntry = Band | BlockRef
+
+_ENTRY_KINDS = {cls.kind: cls for cls in DiagramEntry.__args__}
 
 
 def _walk(flow, steps, first=1):
@@ -669,41 +673,11 @@ def builtin_templates() -> list[Template]:
 _BUILTIN = tuple(sorted(builtin_templates(), key=lambda t: t.name))
 
 
-def _entry_to_json(entry: DiagramEntry) -> dict:
-    if isinstance(entry, Band):
-        return {"kind": "band", "pos": entry.pos, "sign": entry.sign}
-    return {
-        "kind": "block",
-        "id": entry.id,
-        "span": entry.span,
-        "pos": entry.pos,
-    }
-
-
-def _entry_from_json(data: dict) -> DiagramEntry:
-    # the band sign's +1 or -1 is checked by the diagram
-    kind = data.get("kind")
-    if kind == "band":
-        return Band(
-            _int_field(data["pos"], "pos"), _int_field(data["sign"], "sign")
-        )
-    if kind == "block":
-        name = data["id"]
-        if type(name) is not str:
-            raise ValueError(f"id must be a string, got {name!r}")
-        return BlockRef(
-            name,
-            _int_field(data["span"], "span"),
-            _int_field(data.get("pos", 1), "pos"),
-        )
-    raise ValueError(f"unknown entry kind: {kind!r}")
-
-
 def diagram_to_json(d: BlockStrandDiagram) -> dict:
     data = {
         "n": d.index,
         "weights": list(d.weights),
-        "entries": [_entry_to_json(e) for e in d.entries],
+        "entries": [_record_json(e) for e in d.entries],
     }
     if d.post_destabilization:
         data["post_destabilization"] = True
@@ -713,20 +687,23 @@ def diagram_to_json(d: BlockStrandDiagram) -> dict:
 def diagram_from_json(data: dict) -> BlockStrandDiagram:
     """Decode a diagram.
 
-    Every integer must be a JSON integer, a block ``id`` a string and
-    ``post_destabilization`` a JSON bool.  A malformed document raises
-    ``ValueError``, a missing field ``KeyError``, and a document or field
-    of the wrong JSON type ``TypeError`` or ``AttributeError``.
+    Every integer must be a JSON integer, a band ``sign`` +1 or -1, a
+    block ``id`` a string and ``post_destabilization`` a JSON bool; an
+    entry is decoded by the record codec that decodes moves.  A malformed
+    document raises ``ValueError``, a missing field ``KeyError``, and a
+    document or field of the wrong JSON type ``TypeError`` or
+    ``AttributeError``.
     """
-    post = data.get("post_destabilization", False)
-    if type(post) is not bool:
-        raise ValueError(f"post_destabilization must be a bool, got {post!r}")
+    post = _typed(
+        data.get("post_destabilization", False), "post_destabilization", bool
+    )
     return BlockStrandDiagram(
-        _int_field(data["n"], "n"),
-        tuple(
-            _int_field(w, "weight") for w in _list_field(data["weights"], "weights")
-        ),
-        tuple(_entry_from_json(e) for e in _list_field(data["entries"], "entries")),
+        _typed(data["n"], "n", int),
+        [_typed(w, "weight", int) for w in _typed(data["weights"], "weights", list)],
+        [
+            _record_from_json(e, _ENTRY_KINDS, "entry")
+            for e in _typed(data["entries"], "entries", list)
+        ],
         post,
     )
 
@@ -740,11 +717,8 @@ def template_to_json(t: Template) -> dict:
 
 
 def template_from_json(data: dict) -> Template:
-    name = data["name"]
-    if type(name) is not str:
-        raise ValueError(f"name must be a string, got {name!r}")
     return Template(
-        name,
+        _typed(data["name"], "name", str),
         diagram_from_json(data["plus"]),
         diagram_from_json(data["minus"]),
     )
@@ -755,8 +729,7 @@ def dump_template(t: Template, path) -> None:
 
 
 def load_template(path) -> Template:
-    with open(path, encoding="utf-8") as fh:
-        return template_from_json(json.load(fh))
+    return template_from_json(_load_json(path))
 
 
 def catalog() -> list[Template]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from json.encoder import encode_basestring_ascii
 
 __all__ = [
@@ -132,21 +132,53 @@ def parse_word(text: str) -> BraidWord:
     return _derived(index, tuple(letters))
 
 
-def _int_field(value, name: str, unit: bool = False) -> int:
-    # the one reader of integers in JSON documents: a JSON integer (bool
-    # is an int subclass), and +1 or -1 if unit
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if unit and value not in (1, -1):
-        raise ValueError(f"{name} must be +1 or -1, got {value!r}")
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a bool", list: "a list"}
+
+
+def _typed(value, name: str, kind: type):
+    # the one check of a value in a JSON document: bool is no int and an
+    # object no list
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
 
 
-def _list_field(value, name: str) -> list:
-    # the one reader of arrays in JSON documents: an object is no list
-    if type(value) is not list:
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    return value
+def _record_json(record) -> dict:
+    # a record as a JSON object: its kind, then its fields in order, with
+    # a word as word text
+    data = {"kind": record.kind}
+    for name, f in record.__dataclass_fields__.items():
+        value = getattr(record, name)
+        data[name] = format_word(value) if f.type == "BraidWord" else value
+    return data
+
+
+def _record_from_json(data: dict, kinds: dict, what: str):
+    # the record of _record_json from the table of classes by kind: a word
+    # field is word text, a str field a string, any other field an integer,
+    # sign and eps +1 or -1; a field with a default may be missing.  Field
+    # types are annotation strings, as the record modules postpone them
+    kind = data.get("kind")
+    # the str test keeps an unhashable kind, such as a list, off the table
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown {what} kind: {kind!r}")
+    values = []
+    for name, f in kinds[kind].__dataclass_fields__.items():
+        value = data[name] if f.default is MISSING else data.get(name, f.default)
+        if f.type == "BraidWord":
+            value = parse_word(value)
+        else:
+            _typed(value, name, str if f.type == "str" else int)
+        if name in ("sign", "eps") and value not in (1, -1):
+            raise ValueError(f"{name} must be +1 or -1, got {value!r}")
+        values.append(value)
+    return kinds[kind](*values)
+
+
+def _load_json(path):
+    # the one reader of documents: the JSON value in a UTF-8 file
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _json_text(value, pad: str = "\n") -> str:

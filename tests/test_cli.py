@@ -508,6 +508,7 @@ _DOCUMENTS = {
     "{slots-out}": _edited(_TEMPLATE, (("plus", "entries", 0), "pos", 3)),
     "{no-plus}": {k: v for k, v in _TEMPLATE.items() if k != "plus"},
     "{no-b}": {**_CENSUS, "V": [{"a": 1, "count": 4}]},
+    "{kind-list}": _edited(_TEMPLATE, (("plus", "entries", 1), "kind", ["band"])),
     "{steps-object}": {"initial": "2: 1", "steps": {}},
     "{entries-object}": {
         "name": "empty",
@@ -545,6 +546,8 @@ _DOCUMENTS = {
         ["move", "3: 1 2", '{"kind": "stabilize", "sign": "1"}'],
         ["move", "3: 1 2", '{"kind": "cyclic", "k": 1.5}'],
         ["move", "3: 1 2", '{"kind": "stabilize"}'],
+        ["move", "2: 1", '{"kind": "twist"}'],
+        ["move", "2: 1", '{"kind": ["stabilize"]}'],
         [
             "move",
             "3: 1 2 1 2",
@@ -566,6 +569,7 @@ _DOCUMENTS = {
                 "{no-plus}",
                 "{span-zero}",
                 "{slots-out}",
+                "{kind-list}",
             )
         ],
         *[["census", name] for name in ("{count-float}", "{es-float}",
@@ -601,6 +605,8 @@ _DOCUMENTS = {
         "move-sign-string",
         "move-k-float",
         "move-no-sign",
+        "move-kind-unknown",
+        "move-kind-list",
         "move-eps-float",
         "tower-sign-bool",
         "conj-cap-0",
@@ -614,6 +620,7 @@ _DOCUMENTS = {
         "template-no-plus",
         "template-span-zero",
         "template-slots-out-of-range",
+        "template-kind-list",
         "census-count-float",
         "census-es-float",
         "census-chi-bool",

@@ -288,6 +288,11 @@ def test_move_json_round_trip():
     for move in moves:
         data = move_to_json(move)
         assert move_from_json(json.loads(json.dumps(data))) == move
+    with pytest.raises(TypeError, match="not a move"):
+        move_to_json(BraidWord(3, (1,)))
+    for kind in ("twist", ["stabilize"]):
+        with pytest.raises(ValueError, match="unknown move kind"):
+            move_from_json({"kind": kind})
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """The package's public names."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import braidcalc
 
@@ -18,3 +20,35 @@ def test_the_package_root_exports_only_its_submodules():
     submodules = {info.name for info in pkgutil.iter_modules(braidcalc.__path__)}
     public = {name for name in vars(braidcalc) if not name.startswith("_")}
     assert public <= submodules, sorted(public - submodules)
+
+
+def _functions(tree):
+    # each node of a module with the name of the top-level function it is
+    # in, or None outside every function
+    for top in tree.body:
+        name = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            yield name, node
+
+
+def test_documents_are_read_and_checked_in_one_place():
+    # words opens every document it reads, and _typed is its one check of
+    # a JSON value's type; any other module calls them
+    readers, checks = set(), set()
+    for path in sorted(Path(braidcalc.__file__).parent.glob("*.py")):
+        for function, node in _functions(ast.parse(path.read_text())):
+            where = f"{path.stem}.{function}"
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or ast.unparse(node.func) == "json.load"
+            ):
+                readers.add(path.stem)
+            if (
+                isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Call)
+                and ast.unparse(node.left.func) == "type"
+                and isinstance(node.ops[0], ast.IsNot)
+            ):
+                checks.add(where)
+    assert readers == {"words"}
+    assert checks == {"words._typed"}

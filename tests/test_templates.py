@@ -91,6 +91,8 @@ def test_band_expand():
         band_expand(2, 1, 1, 1, 2)
     with pytest.raises(ValueError):
         band_expand(1, 1, 0, 1, 2)
+    with pytest.raises(ValueError, match="sign must be"):
+        band_expand(1, 1, 1, 2, 2)
 
 
 def test_band_expand_inverse_pairs():
@@ -117,6 +119,10 @@ def test_diagram_validation():
         BlockStrandDiagram(3, (1, 1, 1), (BlockRef("P", 3, 1),))
     with pytest.raises(ValueError):
         BlockStrandDiagram(3, (1, 1, 1), (BlockRef("P", 1, 1),))
+    # an int walks as a block letter, a string not at all: neither is an entry
+    for entry in (2, "band"):
+        with pytest.raises(TypeError, match="not a diagram entry"):
+            BlockStrandDiagram(3, (1, 1, 1), (entry,))
     # full-width blocks need the post-destabilization waiver
     BlockStrandDiagram(
         2, (1, 1), (BlockRef("P", 2, 1),), post_destabilization=True
@@ -354,10 +360,12 @@ def test_diagram_json_round_trip():
     }
     parsed = diagram_from_json(bare)
     assert parsed.entries[0] == BlockRef("P", 2, 1)
-    with pytest.raises(ValueError):
-        diagram_from_json(
-            {"n": 2, "weights": [1, 1], "entries": [{"kind": "what"}]}
-        )
+    # a list kind is refused by name, not by the table's TypeError
+    for kind in ("what", ["band"]):
+        with pytest.raises(ValueError, match="unknown entry kind"):
+            diagram_from_json(
+                {"n": 2, "weights": [1, 1], "entries": [{"kind": kind}]}
+            )
 
 
 def test_template_json_round_trip(tmp_path):
@@ -388,6 +396,8 @@ def test_cyclic_tower_walks_every_block_around():
     assert free_reduce(tower.final) == free_reduce(x)
     seam = len(asg["B1"].letters) + 3
     assert expand(t.minus, asg) == rotate(x, seam)
+    with pytest.raises(ValueError, match="at least 3 blocks"):
+        make_cyclic(2)
 
 
 def test_gflype_tower_profile():

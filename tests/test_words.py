@@ -59,6 +59,7 @@ def test_parse_word_round_trip():
     assert format_word(w) == "3: 1 -2 1"
     assert parse_word("4:") == BraidWord(4, ())
     assert format_word(BraidWord(4, ())) == "4:"
+    assert str(BraidWord(3, (1, -2))) == "3: 1 -2"
     assert parse_word("  2 :  1   1 ") == BraidWord(2, (1, 1))
 
 
