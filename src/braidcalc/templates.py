@@ -20,8 +20,11 @@ without a fingerprint, since such words close to the same link.
 Otherwise, within one call, it fingerprints each core once: expansions
 whose cores are rotations of each other share a fingerprint, held in a
 memo that dies with the call.  A diagram keeps the walk it makes when
-it is built; a band's crossing letters join it on first expansion, and
-a template keeps the tables it draws samples from on first sampling.
+it is built; a band's crossing letters join it on first expansion.
+It also keeps a step table that a block's letters fill as expansions
+meet them: per first strand, cable weights and letter, the crossing
+letters and the leaving weights, taken from one step of the same walk.
+A template keeps the tables it draws samples from on first sampling.
 The catalog, built once per process by the ``make_*`` constructors
 below, covers destabilization, the exchange move in weight one and
 weighted form, the three strand flype, microflypes, a four block
@@ -173,7 +176,10 @@ class BlockStrandDiagram:
     Construction walks the diagram once and keeps the walk: per entry,
     the entering weights of its slots and its first strand.  A band's
     crossing letters are built on the diagram's first expansion and
-    kept on it after that.
+    kept on it after that.  A block letter's crossing letters and the
+    cable weights it leaves are built the first time an expansion meets
+    that letter at those cable weights and first strand, and are kept
+    in a step table on the diagram.
     """
 
     index: int
@@ -246,6 +252,13 @@ class BlockStrandDiagram:
             )
             for entry, covered, base in self._steps
         )
+
+    @cached_property
+    def _cable_steps(self):
+        # (first strand, cable weights, block letter) -> (crossing
+        # letters, leaving cable weights), filled by _expansion one miss
+        # at a time; like _walked, not a field
+        return {}
 
     @property
     def blocks(self) -> dict[str, int]:
@@ -329,6 +342,7 @@ def _expansion(d: BlockStrandDiagram, asg: Assignment):
     missing = sorted(set(d.blocks) - set(asg))
     if missing:
         raise CoverageError(f"assignment misses blocks: {missing}")
+    table = d._cable_steps
     for entry, covered, base, crossing in d._walked:
         if isinstance(entry, Band):
             yield entry, crossing
@@ -339,14 +353,22 @@ def _expansion(d: BlockStrandDiagram, asg: Assignment):
                 f"block {entry.id!r} has {entry.span} cables,"
                 f" assigned word has {word.index} strands"
             )
-        cables = list(covered)
+        cables = covered
         letters: list[int] = []
-        for g, (a, b), p in _walk(cables, word.letters, base):
-            letters += _crossing(a, b, p, 1 if g > 0 else -1)
-        if tuple(cables) != covered:
+        for g in word.letters:
+            key = base, cables, g
+            step = table.get(key)
+            if step is None:
+                flow = list(cables)
+                for _, (a, b), p in _walk(flow, (g,), base):
+                    part = tuple(_crossing(a, b, p, 1 if g > 0 else -1))
+                step = table[key] = part, tuple(flow)
+            part, cables = step
+            letters += part
+        if cables != covered:
             raise WeightFlowError(
                 f"block {entry.id!r}: cables enter as {list(covered)} but"
-                f" leave as {cables}"
+                f" leave as {list(cables)}"
             )
         yield entry, letters
 
@@ -360,9 +382,11 @@ def expand(d: BlockStrandDiagram, asg: Assignment) -> BraidWord:
     entering cable weights in their original order.
     """
 
-    parts = _expansion(d, asg)
+    letters: list[int] = []
+    for _, part in _expansion(d, asg):
+        letters += part
     # every letter crosses strands inside a checked band or block
-    return _derived(d.index, tuple([g for _, part in parts for g in part]))
+    return _derived(d.index, tuple(letters))
 
 
 def sample_assignment(

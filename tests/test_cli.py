@@ -15,6 +15,7 @@ from braidcalc.cli import _build_parser, main
 from braidcalc.moves import dump_tower, load_tower, replay, tower_to_json
 from braidcalc.templates import (
     TEMPLATE_DIR_ENV,
+    builtin_templates,
     dump_template,
     make_cyclic,
     make_destabilize,
@@ -337,6 +338,23 @@ def test_verify_template_pinned(capsys):
     doc = json.loads(out)
     assert doc["passed"] == 5 and doc["delta_b"] == 1
     assert all(s["ok"] for s in doc["samples"])
+
+
+def test_verify_template_answers_are_pinned(capsys):
+    # every catalog template at three seeds and three word lengths; the
+    # 117 answers are pinned by one digest
+    digest = hashlib.sha256()
+    for name in sorted(t.name for t in builtin_templates()):
+        for seed in range(3):
+            for max_len in (0, 6, 9):
+                code, out, err = run(
+                    capsys, "verify-template", name, "--seed", str(seed),
+                    "--max-len", str(max_len), "--format", "json",
+                )
+                digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == (
+        "1dfc8d70b0ee29a6fe09736f4e2679867cad559b2c562523bf06a03d5ead1090"
+    )
 
 
 def test_verify_template_one_cable_block(tmp_path, capsys):

@@ -52,3 +52,25 @@ def test_documents_are_read_and_checked_in_one_place():
                 checks.add(where)
     assert readers == {"words"}
     assert checks == {"words._typed"}
+
+
+def test_only_the_walker_swaps_weights():
+    # templates has one weight-flow walker: no other code there makes two
+    # items of a list trade places, as in x[i - 1], x[i] = x[i], x[i - 1]
+    path = Path(braidcalc.__file__).parent / "templates.py"
+    swappers = []
+    for function, node in _functions(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Assign):
+            continue
+        pairs = [*node.targets, node.value]
+        if all(
+            isinstance(pair, ast.Tuple)
+            and len(pair.elts) == 2
+            and all(isinstance(e, ast.Subscript) for e in pair.elts)
+            for pair in pairs
+        ):
+            left = [ast.unparse(e) for e in node.targets[0].elts]
+            right = [ast.unparse(e) for e in node.value.elts]
+            if right == left[::-1]:
+                swappers.append(function)
+    assert swappers == ["_walk"]

@@ -486,6 +486,73 @@ def test_expansion_matches_the_oracle(data):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_expansions_on_a_warm_step_table_match_the_oracle(data):
+    # one diagram under 50 assignments in a row, so later expansions read
+    # entries that earlier ones, failed ones included, left in its table
+    d = data.draw(diagrams())
+    for _ in range(50):
+        asg = data.draw(assignments(d))
+        assert _outcome(expand, d, asg) == _outcome(oracle.expand, d, asg)
+
+
+def _step_keys(d, asg):
+    # each (first strand, cable weights, letter) an expansion meets, from a
+    # walk of its own; a block whose word does not fit is skipped
+    keys = set()
+    for entry, covered, base in d._steps:
+        word = asg.get(entry.id) if isinstance(entry, BlockRef) else None
+        if word is None or word.index != entry.span:
+            continue
+        cables = list(covered)
+        for g, _, _ in templates._walk(cables, word.letters, base):
+            keys.add((base, tuple(cables), g))
+    return keys
+
+
+def test_step_tables_are_filled_lazily_and_not_part_of_the_value():
+    # building a diagram, even one with a million band letters, builds no
+    # table
+    wide = BlockStrandDiagram(2000, (1000, 1000), (Band(1, 1),))
+    assert "_cable_steps" not in vars(wide)
+    d = make_exchange(2).plus
+    twin = BlockStrandDiagram(
+        d.index, d.weights, d.entries, d.post_destabilization
+    )
+    assert "_cable_steps" not in vars(twin)
+    # block Q enters on cables (1, 2): one letter leaves them swapped, an
+    # entry the failed expansion leaves behind for the next one
+    odd = {"P": BraidWord(2, (1,)), "Q": BraidWord(2, (-1,))}
+    even = {"P": BraidWord(2, (1,)), "Q": BraidWord(2, (-1, -1))}
+    mismatch = {"P": BraidWord(3, ()), "Q": even["Q"]}
+    raised = []
+    for asg in (odd, even, odd, {}, mismatch, even):
+        outcome = _outcome(expand, twin, asg)
+        assert outcome == _outcome(oracle.expand, d, asg)
+        raised.append(outcome[0] if isinstance(outcome, tuple) else None)
+    assert raised == [
+        WeightFlowError, None, WeightFlowError, CoverageError, IndexMismatch,
+        None,
+    ]
+    assert twin._cable_steps
+    assert twin == d and hash(twin) == hash(d) and repr(twin) == repr(d)
+    assert "_cable_steps" not in repr(twin)
+    assert diagram_to_json(twin) == diagram_to_json(d)
+    # one entry per key met, however often it is met
+    rng = random.Random(3)
+    for t in builtin_templates():
+        met = [(t.plus, set()), (t.minus, set())]
+        for _ in range(40):
+            asg = sample_assignment(t, rng, 9)
+            for side, keys in met:
+                expand(side, asg)
+                keys |= _step_keys(side, asg)
+        for side, keys in met:
+            table = vars(side).get("_cable_steps", {})
+            assert set(table) == keys, t.name
+
+
 def test_sampling_matches_the_oracle():
     templates = catalog() + [
         make_flype(1, 2, 3, 2, 1),
