@@ -10,10 +10,12 @@ strand count works.  Each public call keeps one table of bounded memos
 of the descents, left-weightings, lcms, remainder steps and ``tau``
 flips its products share; the table dies with the call.  A memo entry
 keeps a simple's inverse with its descents, so a left-weighting step
-inverts nothing and an lcm inverts only its result.  A left-weighting
-step updates both permutations of its right simple, re-tests only the
-bits next to each generator it moves and takes its results from the
-table's descent memo, so the two memos share their tuples.
+inverts nothing.  A left-weighting step updates both permutations of
+its right simple, re-tests only the bits next to each generator it
+moves and takes its results from the table's descent memo, so the two
+memos share their tuples.  An lcm inverts nothing either: it closes
+both operands' inversion masks on bit masks and reads the result off
+their bit counts, the same steps at every strand count.
 
 The normal form takes one pass over the freely reduced word, cut into
 runs: maximal stretches of same-sign letters whose permutation grows
@@ -48,7 +50,8 @@ inconclusive verdict if the cap is exceeded.  Each conjugation of
 ``x = D^p F1 ... Fm`` hands that loop one positive product of simples
 and spells no word, ``tau`` flipping ``sigma_i`` to ``sigma_(n-i)``:
 ``D^(p-1) tau^(p+1)(s^-1 D) F1 ... Fm s`` by a simple ``s``,
-``D^p tau^p(F2) ... tau^p(Fm) F1`` when cycling and
+``D^p tau^p(F2) ... tau^p(Fm) F1`` when cycling, of which only ``F1``
+enters the pass, the rest being left weighted already, and
 ``D^p tau^p(Fm) F1 ... F(m-1)`` when decycling.
 """
 
@@ -168,13 +171,13 @@ class NormalForm:
 
 class _Table:
     # one per public call: bounded memos of the primitives its products
-    # share; a weigh result is the entry memo's own tuples, and lcm and
-    # rem read their operands' inverses from the entry memo
+    # share; a weigh result is the entry memo's own tuples, and rem
+    # reads its factor's inverse from the entry memo
     def __init__(self):
         memo = functools.lru_cache(1024)
         self.entry = entry = memo(_entry)
         self.weigh = memo(functools.partial(_weigh, entry=entry))
-        self.lcm = lcm = memo(lambda s, t: _inv(_join(entry(s)[3], entry(t)[3])))
+        self.lcm = lcm = memo(_lcm)
         self.rem = memo(lambda c, f: _mul(entry(f)[3], lcm(c, f)))  # f^-1 (c v f)
         self.flip = memo(_flip)
 
@@ -218,12 +221,15 @@ def _runs(letters, n: int):
         yield negative, run
 
 
-def _product(n: int, q: int, simples, table: _Table) -> NormalForm:
-    # D^q times a product of simples and D^-1 items (None), normalized as
-    # D^q F1 ... Fm D^r: each simple arrives flipped by tau^r; a D the
-    # pass makes moves to the end, and a None lowers r
+def _product(
+    n: int, q: int, simples, table: _Table, weighted: tuple[Entry, ...] = ()
+) -> NormalForm:
+    # D^q times weighted, a left-weighted run of entries with no identity
+    # and no D, times a product of simples and D^-1 items (None),
+    # normalized as D^q F1 ... Fm D^r: each simple arrives flipped by
+    # tau^r; a D the pass makes moves to the end, and a None lowers r
     twist = (1 << n) - 2  # the descents of D
-    factors: list[Entry] = []
+    factors = list(weighted)
     r = 0
     for f in simples:
         if f is None:
@@ -348,9 +354,11 @@ def _conj(x: NormalForm, s: Perm, table: _Table) -> NormalForm:
 
 
 def _cycle(x: NormalForm, table: _Table) -> NormalForm:
-    # conjugation by D^p F1
+    # conjugation by D^p F1; tau^p(F2) ... tau^p(Fm) is left weighted as
+    # it stands, so only F1 enters the pass
     rest = tuple(map(table.flip, x.factors[1:])) if x.power % 2 else x.factors[1:]
-    return _product(x.index, x.power, (*rest, x.factors[0]), table)
+    weighted = tuple(map(table.entry, rest))
+    return _product(x.index, x.power, (x.factors[0],), table, weighted)
 
 
 def _decycle(x: NormalForm, table: _Table) -> NormalForm:
@@ -384,28 +392,45 @@ def _summit_representative(x: NormalForm, table: _Table) -> NormalForm:
 
 
 def _lcm(s: Perm, t: Perm) -> Perm:
-    # s v t for permutation braids
-    return _inv(_join(_inv(s), _inv(t)))
+    """The least common multiple ``s v t`` of two permutation braids.
 
+    Call places ``i < j`` inverted in the inverse ``q`` of a simple when
+    ``q[i] > q[j]``, as ``_descents(_inv(f))`` does for adjacent places:
+    ``s`` left-divides ``t`` exactly when the inverted pairs of ``t``
+    hold those of ``s``, and those of ``s v t`` are the transitive
+    closure of both.  Three steps, each on bit masks:
 
-def _join(qs: Perm, qt: Perm) -> Perm:
-    # the inverse of s v t from the inverses qs, qt of s and t.  Call
-    # i < j inverted in the inverse q of a simple when q[i] > q[j], as
-    # _descents(_inv(f)) does for adjacent pairs: s left-divides t
-    # exactly when t's inverted pairs hold s's, and those of s v t are
-    # the transitive closure of both
-    n = len(qs)
-    after = [0] * n  # bit j of after[i]: the pair (i, j) is inverted
-    for i in range(n - 2, -1, -1):
-        for j in range(i + 1, n):
-            if qs[i] > qs[j] or qt[i] > qt[j]:
-                after[i] |= 1 << j | after[j]
-    # q[i] counts the entries it must exceed: inverted ones after it,
-    # uninverted ones before it
-    return tuple(
-        1 + after[i].bit_count() + sum(not after[j] >> i & 1 for j in range(i))
-        for i in range(n)
-    )
+    1. Inversion masks.  Bit ``j`` of ``after[i]`` marks a place
+       ``j > i`` of smaller value in the inverse.  Value ``v`` sits at
+       place ``s[v - 1] - 1`` of the inverse of ``s``, so one sweep over
+       the values builds every mask with no inverse.
+    2. Closure.  From right to left, ``after[i]`` takes the union of both
+       masks and, for each bit ``j`` in it, the already closed
+       ``after[j]``; a bit that an ``after[j]`` taken covers is skipped.
+    3. Read off.  Exactly ``after[i].bit_count()`` of the places right of
+       ``i`` rank below ``i``, so inserting ``i + 1`` at that index, from
+       ``i = n - 1`` down to 0, lists the places of the closure's
+       inverse by value, which is ``s v t`` itself.
+    """
+    n = len(s)
+    after = [0] * n
+    for p in s, t:
+        seen = 0  # the places in p's inverse of the values swept so far
+        for place in p:
+            bit = 1 << place - 1
+            after[place - 1] |= seen & -bit  # the smaller ones right of it
+            seen |= bit
+    order: list[int] = []
+    for i in range(n - 1, -1, -1):
+        closed = rest = after[i]
+        while rest:
+            bit = rest & -rest
+            j = bit.bit_length() - 1
+            closed |= after[j]
+            rest = (rest ^ bit) & ~after[j]
+        after[i] = closed
+        order.insert(closed.bit_count(), i + 1)
+    return tuple(order)
 
 
 def _inverse(x: NormalForm, table: _Table) -> NormalForm:

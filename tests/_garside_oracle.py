@@ -21,6 +21,12 @@ swap and recomputes both result masks from the permutations.
 the oracle for :func:`braidcalc.garside.factor_word`: it bubble sorts
 with full passes until a pass makes no swap.
 
+:func:`lcm` is the original least common multiple of two simples, the
+oracle for ``braidcalc.garside._lcm``: it inverts both operands, closes
+their inverted pairs with a test per pair of places, counts each
+entry of the result's inverse with a sum over the places before it,
+and inverts that.
+
 :func:`minimal_simples` is the original search for an element's minimal
 simple elements, the oracle for ``braidcalc.garside._minimal_simples``:
 each remainder step of :func:`phi` multiplies by the inverse of its
@@ -53,7 +59,6 @@ from braidcalc.garside import (
     _descents,
     _half_twist,
     _inv,
-    _lcm,
     _mul,
     _tau,
     normal_form_word,
@@ -221,14 +226,38 @@ def inverse_normal_form(x: NormalForm) -> NormalForm:
     return NormalForm(n, -p - len(ys), tuple(reversed(ys)))
 
 
+def lcm(s: Perm, t: Perm) -> Perm:
+    """s v t for permutation braids, through the inverses of both."""
+    return _inv(_join(_inv(s), _inv(t)))
+
+
+def _join(qs: Perm, qt: Perm) -> Perm:
+    # the inverse of s v t from the inverses qs, qt of s and t.  Call
+    # i < j inverted in the inverse q of a simple when q[i] > q[j]:
+    # s left-divides t exactly when t's inverted pairs hold s's, and
+    # those of s v t are the transitive closure of both
+    n = len(qs)
+    after = [0] * n  # bit j of after[i]: the pair (i, j) is inverted
+    for i in range(n - 2, -1, -1):
+        for j in range(i + 1, n):
+            if qs[i] > qs[j] or qt[i] > qt[j]:
+                after[i] |= 1 << j | after[j]
+    # q[i] counts the entries it must exceed: inverted ones after it,
+    # uninverted ones before it
+    return tuple(
+        1 + after[i].bit_count() + sum(not after[j] >> i & 1 for j in range(i))
+        for i in range(n)
+    )
+
+
 def phi(s: Perm, power: int, factors) -> Perm:
     """s v c with c the least simple such that tau^q(s) left-divides
     y1 ... yr c, for y = D^q y1 ... yr given as q and the pairs
     (y_k, y_k^-1); c_k = y_k^-1 (c_(k-1) v y_k)."""
     c = _flip(s) if power % 2 else s
     for f, fi in factors:
-        c = _mul(fi, _lcm(c, f))
-    return _lcm(s, c)
+        c = _mul(fi, lcm(c, f))
+    return lcm(s, c)
 
 
 def minimal_simples(x: NormalForm) -> list[Perm]:

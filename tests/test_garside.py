@@ -423,6 +423,27 @@ def test_conjugation_primitive_matches_the_oracle():
                 assert garside._decycle(x, table) == oracle._conj(x, last), x
 
 
+def test_cycling_is_decycling_of_the_inverse():
+    # decycling passes every factor through the left-weighting loop, and
+    # cycling hands it all but the first as already weighted; cycling
+    # x^-1 and inverting back is decycling x up to tau^(sup x - 1)
+    rng = random.Random("seeded-cycling")
+    table = garside._Table()
+    checked = 0
+    while checked < 5_000:
+        n = rng.randint(2, 7)
+        x = normal_form(random_word(rng, n, rng.randint(1, 16)), table)
+        if not x.factors:
+            continue
+        cycled = garside._cycle(garside._inverse(x, table), table)
+        back = garside._inverse(cycled, table)
+        if (x.sup - 1) % 2:
+            flipped = tuple(map(garside._flip, back.factors))
+            back = garside.NormalForm(n, back.power, flipped)
+        assert garside._decycle(x, table) == back, x
+        checked += 1
+
+
 @st.composite
 def products(draw, strands, max_len):
     # n, q and a sequence of simples drawn from a small pool that holds
@@ -520,7 +541,7 @@ def test_memo_counters_of_the_readme_pair(monkeypatch):
         for name, memo in vars(table).items()
     }
     assert counters == {
-        "entry": (1624, 6),
+        "entry": (1596, 6),
         "weigh": (36, 4),
         "lcm": (60, 14),
         "rem": (646, 14),
@@ -546,8 +567,8 @@ def test_weigh_matches_the_oracle_on_every_pair():
 
 
 @st.composite
-def perm_pairs(draw):
-    n = draw(st.integers(5, 8))
+def perm_pairs(draw, top=8):
+    n = draw(st.integers(5, top))
     perms = st.permutations(range(1, n + 1)).map(tuple)
     return draw(perms), draw(perms)
 
@@ -578,6 +599,19 @@ def test_remainder_step_on_every_pair():
 @given(perm_pairs())
 def test_remainder_step_on_drawn_pairs(pair):
     _rem_matches_the_definition(*pair)
+
+
+def test_lcm_matches_the_oracle_on_every_pair():
+    for n in range(1, 5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for s, t in itertools.product(perms, repeat=2):
+            assert garside._lcm(s, t) == oracle.lcm(s, t), (s, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perm_pairs(top=60))
+def test_lcm_matches_the_oracle_on_drawn_pairs(pair):
+    assert garside._lcm(*pair) == oracle.lcm(*pair), pair
 
 
 def test_flip_entry_mirrors_the_masks():
@@ -712,6 +746,19 @@ def test_five_strand_summit_set_walk_is_fast():
     elapsed = time.perf_counter() - start
     assert rep == ConjugacyReport(Verdict.NOT_CONJUGATE, 388)
     assert elapsed < 10.0, f"{elapsed:.2f} s"
+
+
+def test_many_strand_conjugacy_is_fast():
+    # each of its lcms is a few bit-mask steps per place; the lcm that
+    # summed one bit per pair of places for each entry of its result took
+    # 1.6-1.75 s on this pair, and the bit-mask one 0.09-0.13 s (2 cores,
+    # Python 3.11)
+    u, v = parse_word("200: 1 2 3"), parse_word("200: 3 2 1")
+    start = time.perf_counter()
+    rep = conjugacy_test(u, v)
+    elapsed = time.perf_counter() - start
+    assert rep == ConjugacyReport(Verdict.CONJUGATE, 3)
+    assert elapsed < 0.35, f"{elapsed:.2f} s"
 
 
 def _minimal_simples_match_the_oracle(x, table):
